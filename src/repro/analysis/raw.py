@@ -7,7 +7,16 @@ linter that must *report* every violation with a witness.  This module
 parses both trace formats into a :class:`RawTrace` -- an unvalidated bag
 of states, message arrows, and control arrows, each remembering where in
 the input it came from (JSON path or ``file:lineno``) -- collecting
-structural problems as T001/T009 findings instead of raising.
+problems as findings instead of raising.
+
+Structure is checked by the same decoders the strict loaders use
+(:mod:`repro.trace.decode`): every problem they report becomes a T001
+at its location, with the text a strict load raises, and the decoded
+parts are kept with their repairs (a broken arrow is skipped, a broken
+variable map becomes ``{}``).  On top of that this module owns only
+what the strict loaders do not check themselves: the recorded
+``clocks`` block of a document, and the stream's causal delivery order
+(T009, reported where the strict store raises).
 
 The analysis passes then check the deposet axioms over the raw trace; a
 real (validated) :class:`~repro.trace.deposet.Deposet` is constructed only
@@ -19,13 +28,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import Finding
 from repro.causality.relations import StateRef
 from repro.errors import UnknownTraceFormatError
+from repro.trace.decode import (
+    FORMAT,
+    STREAM_FORMAT,
+    Problem,
+    decode_document,
+    decode_stream_header,
+    decode_stream_record,
+)
 from repro.trace.deposet import Deposet
-from repro.trace.io import FORMAT, STREAM_FORMAT
 from repro.trace.states import MessageArrow
 
 __all__ = [
@@ -107,14 +123,8 @@ def _t001(location: Optional[str], message: str) -> Finding:
     return Finding("T001", message, location=location)
 
 
-def _ref(value: Any) -> Optional[Ref]:
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in value)
-    ):
-        return (value[0], value[1])
-    return None
+def _t001s(problems: Sequence[Problem]) -> List[Finding]:
+    return [_t001(location, message) for location, message in problems]
 
 
 # -- batch documents ---------------------------------------------------------
@@ -127,129 +137,50 @@ def parse_batch(
 
     Returns ``(raw, findings)``; ``raw`` is ``None`` only when the
     document is too broken to analyse at all (not an object, or no usable
-    ``states`` list).  Broken messages/arrows are reported and skipped,
-    the rest of the trace is still analysed.
+    ``states`` list).  Every problem the shared decoder reports is a
+    T001; broken messages/arrows are skipped and the rest of the trace
+    is still analysed.
     """
-    findings: List[Finding] = []
-    if not isinstance(data, dict):
-        return None, [_t001(None, f"expected a trace object, got {type(data).__name__}")]
-    fmt = data.get("format")
-    if fmt != FORMAT:
-        findings.append(
-            _t001("format", f"unknown trace format {fmt!r}; expected {FORMAT!r}")
-        )
-    states_in = data.get("states")
-    if not isinstance(states_in, list) or not states_in:
-        findings.append(
-            _t001("states", "expected a non-empty list of per-process state lists")
-        )
+    parts, problems = decode_document(data)
+    findings = _t001s(problems)
+    if parts is None:
         return None, findings
-    states: List[List[Dict[str, Any]]] = []
-    for i, proc_states in enumerate(states_in):
-        if not isinstance(proc_states, list) or not proc_states:
-            findings.append(
-                _t001(f"states[{i}]", "expected a non-empty list of variable objects")
-            )
-            states.append([{}])
-            continue
-        row: List[Dict[str, Any]] = []
-        for a, vars in enumerate(proc_states):
-            if not isinstance(vars, dict):
-                findings.append(
-                    _t001(
-                        f"states[{i}][{a}]",
-                        f"expected an object of variables, got {vars!r}",
-                    )
-                )
-                vars = {}
-            row.append(vars)
-        states.append(row)
-    raw = RawTrace(source=source, format=FORMAT, states=states)
-
-    names = data.get("proc_names")
-    if names is not None:
-        if isinstance(names, list) and len(names) == len(states):
-            raw.proc_names = [str(x) for x in names]
-        else:
-            findings.append(
-                _t001("proc_names", f"expected {len(states)} names, got {names!r}")
-            )
-    for k, m in enumerate(data.get("messages") or ()):
-        path = f"messages[{k}]"
-        if not isinstance(m, dict):
-            findings.append(_t001(path, f"expected an object, got {m!r}"))
-            continue
-        src, dst = _ref(m.get("src")), _ref(m.get("dst"))
-        if src is None or dst is None:
-            findings.append(
-                _t001(path, "needs 'src' and 'dst' [process, state] pairs")
-            )
-            continue
-        raw.messages.append(
-            RawArrow(src, dst, location=path, tag=m.get("tag"), payload=m.get("payload"))
-        )
-    for k, arrow in enumerate(data.get("control") or ()):
-        path = f"control[{k}]"
-        pair = (
-            arrow if isinstance(arrow, (list, tuple)) and len(arrow) == 2 else (None, None)
-        )
-        src, dst = _ref(pair[0]), _ref(pair[1])
-        if src is None or dst is None:
-            findings.append(_t001(path, f"expected a [src, dst] pair, got {arrow!r}"))
-            continue
-        raw.control.append(RawArrow(src, dst, location=path))
-
-    ts = data.get("timestamps")
-    if ts is not None:
-        ok = isinstance(ts, list) and len(ts) == len(states)
-        if ok:
-            for i, row in enumerate(ts):
-                if (
-                    not isinstance(row, list)
-                    or len(row) != len(states[i])
-                    or not all(
-                        isinstance(t, (int, float)) and not isinstance(t, bool)
-                        for t in row
-                    )
-                ):
-                    findings.append(
-                        _t001(f"timestamps[{i}]", f"bad timestamp row {row!r}")
-                    )
-                    ok = False
-        else:
-            findings.append(
-                _t001("timestamps", f"expected {len(states)} per-process rows")
-            )
-        if ok:
-            raw.timestamps = [[float(t) for t in row] for row in ts]
-
+    raw = RawTrace(
+        source=source,
+        format=FORMAT,
+        proc_names=[str(x) for x in parts.proc_names or ()],
+        states=parts.states,
+        messages=[
+            RawArrow(src, dst, location=path, tag=tag, payload=payload)
+            for path, src, dst, tag, payload in parts.messages
+        ],
+        control=[
+            RawArrow(src, dst, location=path)
+            for path, src, dst in parts.control
+        ],
+        timestamps=parts.timestamps,
+        obs=parts.obs,
+    )
+    n, counts = raw.n, raw.state_counts
     clocks = data.get("clocks")
     if clocks is not None:
-        ok = isinstance(clocks, list) and len(clocks) == len(states)
-        if ok:
-            for i, row in enumerate(clocks):
-                if (
-                    not isinstance(row, list)
-                    or len(row) != len(states[i])
-                    or not all(
-                        isinstance(v, list)
-                        and len(v) == len(states)
-                        and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-                        for v in row
-                    )
-                ):
-                    findings.append(
-                        _t001(
-                            f"clocks[{i}]",
-                            f"expected {len(states[i])} vectors of {len(states)} ints",
-                        )
-                    )
-                    ok = False
+        # recorded clocks are lint-only (T008): the strict loader ignores them
+        if not isinstance(clocks, list) or len(clocks) != n:
+            findings.append(_t001("clocks", f"expected {n} per-process rows"))
         else:
-            findings.append(_t001("clocks", f"expected {len(states)} per-process rows"))
-        if ok:
-            raw.clocks = clocks
-    raw.obs = data.get("obs")
+            bad = [
+                i for i, row in enumerate(clocks)
+                if not (isinstance(row, list) and len(row) == counts[i]
+                        and all(isinstance(v, list) and len(v) == n
+                                and all(type(c) is int for c in v)
+                                for v in row))
+            ]
+            findings.extend(
+                _t001(f"clocks[{i}]", f"expected {counts[i]} vectors of {n} ints")
+                for i in bad
+            )
+            if not bad:
+                raw.clocks = clocks
     return raw, findings
 
 
@@ -266,12 +197,11 @@ class StreamParser:
     construction, exactly the :class:`RawTrace` and parse findings a
     batch re-parse of the prefix would.
 
-    Mirrors :func:`repro.trace.ingest_event_stream` but collects
-    findings instead of raising: structural problems are T001, records
-    that break causal delivery order (an arrow whose source event has
-    not completed at the time its target record arrives -- the contract
-    :class:`~repro.store.index.CausalIndex` enforces on append) are
-    T009.  Every witness carries ``source:lineno``.
+    Where :func:`repro.trace.ingest_event_stream` raises, it reports: a
+    decoder problem is a T001, an arrow whose source event has not
+    completed when its target record arrives (the causal delivery order
+    :class:`~repro.store.index.CausalIndex` enforces) is a T009.  Every
+    witness carries ``source:lineno``.
 
     After each :meth:`feed_line`/:meth:`feed_record` call the
     ``delta_*`` attributes name the states and arrows that call
@@ -293,20 +223,20 @@ class StreamParser:
         #: control arrows appended by the last feed call
         self.delta_control: List[RawArrow] = []
 
+    def _begin(self, where: Optional[str]) -> str:
+        self.lineno += 1
+        self.delta_states = []
+        self.delta_messages = []
+        self.delta_control = []
+        return f"{self.source}:{self.lineno}" if where is None else where
+
     def feed_line(
         self, line: str, where: Optional[str] = None
     ) -> List[Finding]:
         """Parse one raw stream line; returns the findings it produced."""
-        self.lineno += 1
-        if where is None:
-            where = f"{self.source}:{self.lineno}"
-        self.delta_states = []
-        self.delta_messages = []
-        self.delta_control = []
-        if self.dead:
-            return []
+        where = self._begin(where)
         line = line.strip()
-        if not line:
+        if self.dead or not line:
             return []
         try:
             rec = json.loads(line)
@@ -319,120 +249,68 @@ class StreamParser:
     ) -> List[Finding]:
         """Parse one already-decoded record (``dict``); same contract as
         :meth:`feed_line` minus the JSON decode."""
-        self.lineno += 1
-        if where is None:
-            where = f"{self.source}:{self.lineno}"
-        self.delta_states = []
-        self.delta_messages = []
-        self.delta_control = []
-        if self.dead:
-            return []
-        return self._feed(rec, where)
+        where = self._begin(where)
+        return [] if self.dead else self._feed(rec, where)
 
     def _emit(self, *found: Finding) -> List[Finding]:
         self.findings.extend(found)
         return list(found)
 
     def _feed(self, rec: Any, where: str) -> List[Finding]:
-        out: List[Finding] = []
-        if not isinstance(rec, dict):
-            return self._emit(_t001(where, f"expected an object, got {rec!r}"))
         if self.raw is None:
             return self._feed_header(rec, where)
         raw = self.raw
-        kind = rec.get("t")
-        if kind in ("ev", "recv"):
-            proc = rec.get("p")
-            if (
-                not isinstance(proc, int)
-                or isinstance(proc, bool)
-                or not (0 <= proc < raw.n)
-            ):
-                return self._emit(
-                    _t001(where, f"'p' must be a process index, got {proc!r}")
-                )
-            if "vars" in rec:
-                new = rec["vars"] if isinstance(rec["vars"], dict) else {}
-                if not isinstance(rec["vars"], dict):
-                    out.append(_t001(where, "vars: expected an object"))
-                self.vars_now[proc] = dict(new)
+        kind, fields, problems = decode_stream_record(rec, raw.n, where)
+        out = _t001s(problems) if problems else []
+        if kind == "ev" or kind == "recv":
+            proc = fields["proc"]
+            if "vars" in fields:
+                self.vars_now[proc] = dict(fields["vars"])
             else:
-                u = rec.get("u", {})
-                if not isinstance(u, dict):
-                    out.append(_t001(where, f"u: expected an object, got {u!r}"))
-                    u = {}
-                self.vars_now[proc] = {**self.vars_now[proc], **u}
+                self.vars_now[proc] = {**self.vars_now[proc], **fields["updates"]}
             raw.states[proc].append(dict(self.vars_now[proc]))
             new_index = len(raw.states[proc]) - 1
             self.delta_states.append((proc, new_index))
             if raw.timestamps is not None:
-                t = rec.get("time")
-                if isinstance(t, (int, float)) and not isinstance(t, bool):
+                t = fields["time"]
+                if t is not None:
                     raw.timestamps[proc].append(float(t))
                 else:
                     raw.timestamps = None  # incomplete -- drop the channel
-            if kind == "recv":
-                src = _ref(rec.get("src"))
-                if src is None:
-                    out.append(
-                        _t001(where, "src: expected a [process, state] pair")
-                    )
-                    return self._emit(*out)
+            src = fields.get("received_from")
+            if src is not None:
                 arrow = RawArrow(
                     src, (proc, new_index), location=where,
-                    tag=rec.get("tag"), payload=rec.get("payload"),
+                    tag=fields["tag"], payload=fields["payload"],
                 )
                 raw.messages.append(arrow)
                 self.delta_messages.append(arrow)
                 _check_delivery_order(raw, arrow, "message", where, out)
         elif kind == "ctl":
-            src, dst = _ref(rec.get("src")), _ref(rec.get("dst"))
-            if src is None or dst is None:
-                return self._emit(
-                    _t001(where, "needs 'src' and 'dst' [process, state] pairs")
-                )
-            arrow = RawArrow(src, dst, location=where)
+            arrow = RawArrow(fields["src"], fields["dst"], location=where)
             raw.control.append(arrow)
             self.delta_control.append(arrow)
             _check_delivery_order(raw, arrow, "control arrow", where, out)
         elif kind == "obs":
-            raw.obs = rec.get("obs")
-        else:
-            out.append(_t001(where, f"unknown record type {kind!r}"))
+            raw.obs = fields["obs"]
         return self._emit(*out)
 
-    def _feed_header(self, rec: Dict[str, Any], where: str) -> List[Finding]:
-        out: List[Finding] = []
-        if rec.get("format") != STREAM_FORMAT:
-            out.append(
-                _t001(
-                    where,
-                    f"unknown stream format {rec.get('format')!r}; "
-                    f"expected {STREAM_FORMAT!r}",
-                )
-            )
-        start = rec.get("start")
-        if not isinstance(start, list) or not start:
-            out.append(_t001(where, "header needs a non-empty 'start' list"))
-            self.dead = True
+    def _feed_header(self, rec: Any, where: str) -> List[Finding]:
+        header, problems = decode_stream_header(rec, where)
+        out = _t001s(problems) if problems else []
+        if header is None:
+            # only an object without a usable 'start' list ends the parse
+            self.dead = isinstance(rec, dict)
             return self._emit(*out)
-        self.vars_now = [dict(v) if isinstance(v, dict) else {} for v in start]
-        for i, v in enumerate(start):
-            if not isinstance(v, dict):
-                out.append(
-                    _t001(where, f"start[{i}]: expected an object, got {v!r}")
-                )
+        self.vars_now = [dict(v) for v in header.start]
         raw = RawTrace(
             source=self.source,
             format=STREAM_FORMAT,
+            proc_names=[str(x) for x in header.proc_names or ()],
             states=[[dict(v)] for v in self.vars_now],
         )
-        names = rec.get("proc_names")
-        if isinstance(names, list) and len(names) == len(self.vars_now):
-            raw.proc_names = [str(x) for x in names]
-        times = rec.get("start_times")
-        if isinstance(times, list) and len(times) == len(self.vars_now):
-            raw.timestamps = [[float(t)] for t in times]
+        if header.start_times is not None:
+            raw.timestamps = [[float(t)] for t in header.start_times]
         self.raw = raw
         self.delta_states = [(i, 0) for i in range(raw.n)]
         return self._emit(*out)
@@ -520,19 +398,15 @@ def parse_stream(
     semantics (T001 for structural problems, T009 for causal
     delivery-order violations, every witness carrying ``file:lineno``).
     """
-    path = Path(path)
-    parser = StreamParser(source=str(path))
     with open(path) as fh:
-        for line in fh:
-            parser.feed_line(line)
-    return parser.finish()
+        return parse_stream_lines(fh, source=str(path))
 
 
 def parse_stream_lines(
-    lines: Sequence[str], source: str = "<stream>"
+    lines: Iterable[str], source: str = "<stream>"
 ) -> Tuple[Optional[RawTrace], List[Finding]]:
-    """Leniently parse an in-memory sequence of stream lines (the
-    prefix-identity tests re-parse every prefix through this)."""
+    """Leniently parse a sequence of stream lines (the prefix-identity
+    tests re-parse every prefix through this)."""
     parser = StreamParser(source=source)
     for line in lines:
         parser.feed_line(line)

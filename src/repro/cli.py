@@ -484,136 +484,88 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_watch(args: argparse.Namespace) -> int:
     """Stream a trace through the incremental detector, record by record.
 
-    ``--format json`` emits the exact ``repro-verdicts/1`` events that
-    ``repro serve`` would push for the same stream (tenant ``local``,
-    session = the trace path) -- same schema module, same serializer, so
-    the two surfaces cannot drift (pinned by tests/serve).
+    The lines feed one inline :class:`~repro.serve.session.DetectionSession`
+    (tenant ``local``, session = the trace path), so ``--format json``
+    prints exactly the ``repro-verdicts/1`` events ``repro serve`` would
+    push for the stream, and the text format renders the same events.
     """
-    from repro.detection.incremental import IncrementalDetector
-    from repro.errors import TruncatedStreamError
+    from repro.analysis.findings import Finding
+    from repro.errors import MalformedTraceError, TruncatedStreamError
     from repro.obs import METRICS
-    from repro.serve.protocol import (
-        VerdictTracker,
-        dumps_event,
-        event_closed,
-        event_error,
-        event_finding,
-        event_open,
-    )
+    from repro.serve.protocol import dumps_event, event_closed, event_error
+    from repro.serve.session import DetectionSession
+    from repro.trace.io import iter_stream_lines
 
     as_json = getattr(args, "format", "text") == "json"
-    tenant, session = "local", str(args.trace)
-    tracker = VerdictTracker(tenant, session)
-    detector = None
-    linter = None
-    if getattr(args, "lint", False):
-        from repro.analysis.incremental import StreamingLinter
+    label = str(args.trace)
+    sess: Optional[DetectionSession] = None
+    first_line = None  # the record whose poll first found a witness
 
-        linter = StreamingLinter(source=str(args.trace))
-    first_line = None
-    seq = 0
-
-    def emit_findings(found) -> None:
-        for f in found:
+    def emit(events, lineno: Optional[int] = None) -> None:
+        nonlocal first_line
+        for ev in events:
+            kind = ev["e"]
+            if kind == "error":
+                raise MalformedTraceError(ev["message"])
             if as_json:
-                print(dumps_event(event_finding(
-                    tenant, session, seq, f.to_dict()
-                )))
-            else:
-                loc = f" at {f.location}" if f.location else ""
-                print(f"  [lint] {f.rule_id} [{f.severity}]{loc}: "
-                      f"{f.message}")
+                print(dumps_event(ev))
+            elif kind == "open":
+                print(f"watching {label}: {ev['n']} process(es), "
+                      f"predicate {args.predicate}")
+            elif kind == "finding":
+                print(f"  [lint] {Finding.from_dict(ev['finding']).describe()}")
+            elif kind == "witness" and ev["status"] == "found" \
+                    and first_line is None:
+                first_line = lineno
+                print(f"  record {lineno}: violation possible at "
+                      f"consistent global state {tuple(ev['cut'])}")
+            elif kind == "lint":
+                line = (f"[lint] {ev['findings']} finding(s), "
+                        f"{ev['errors']} error(s), "
+                        f"{ev['warnings']} warning(s)")
+                if ev["dirty"]:
+                    line += f" (recomputed at EOF: {ev['dirty_reason']})"
+                print(line)
 
     with METRICS.scoped() as scope:
         try:
-            for lineno, (store, rec) in enumerate(
-                ingest_event_stream(args.trace, getattr(args, "store", None)),
-                start=1,
-            ):
-                if detector is None:
-                    pred = parse_predicate(args.predicate, store.n)
-                    detector = IncrementalDetector(store, pred)
-                    if linter is not None:
-                        linter.predicate = pred
-                    if as_json:
-                        print(dumps_event(event_open(
-                            tenant, session, store.n, args.predicate
-                        )))
-                    else:
-                        print(f"watching {args.trace}: {store.n} process(es), "
-                              f"predicate {args.predicate}")
-                    if linter is not None:
-                        emit_findings(linter.feed_record(
-                            rec, where=f"{args.trace}:{lineno}"
-                        ))
+            for lineno, line in iter_stream_lines(args.trace):
+                if sess is not None:
+                    emit(sess.feed_line(line, lineno), lineno)
                     continue
-                found = (linter.feed_record(rec, where=f"{args.trace}:{lineno}")
-                         if linter is not None else [])
-                if rec.get("t") == "obs":
-                    emit_findings(found)
-                    continue
-                seq += 1
-                emit_findings(found)
-                witness = detector.poll()
-                if as_json:
-                    for ev in tracker.observe(seq, witness):
-                        print(dumps_event(ev))
-                elif witness is not None and first_line is None:
-                    first_line = lineno
-                    print(f"  record {lineno}: violation possible at "
-                          f"consistent global state {witness}")
+                try:
+                    header = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedTraceError(
+                        f"{label}:{lineno}: not valid JSON ({exc})"
+                    ) from exc
+                sess = DetectionSession(
+                    "local", label, header, args.predicate,
+                    engine=args.engine, lint=getattr(args, "lint", False),
+                    store_target=getattr(args, "store", None), label=label,
+                )
+                emit(sess.open_events())
         except TruncatedStreamError as exc:
             if not as_json:
                 raise  # main() prints the typed file:lineno message
             print(dumps_event(event_error(
-                tenant, session, seq, "malformed", str(exc),
-                where=f"{args.trace}:{exc.lineno}",
+                "local", label, sess.seq if sess else 0, "malformed",
+                str(exc), where=f"{label}:{exc.lineno}",
             )))
             return 3
-        result = detector.finalize(engine=args.engine)
+        if sess is None:
+            raise MalformedTraceError(f"{label}: empty stream (no header)")
+        *lint_events, final = sess.finalize()
+        emit(lint_events)
     counters = scope.delta()["counters"]
-    if linter is not None:
-        from collections import Counter
-
-        from repro.serve.protocol import event_lint_summary
-
-        lint_report = linter.report()
-        emitted = Counter(
-            json.dumps(f.to_dict(), sort_keys=True)
-            for f in linter.findings()
-        )
-        fresh = []
-        for f in lint_report.findings:
-            key = json.dumps(f.to_dict(), sort_keys=True)
-            if emitted[key] > 0:
-                emitted[key] -= 1
-            else:
-                fresh.append(f)
-        emit_findings(fresh)
-        if as_json:
-            print(dumps_event(event_lint_summary(
-                tenant, session, seq,
-                findings=len(lint_report.findings),
-                errors=lint_report.errors,
-                warnings=lint_report.warnings,
-                dirty=linter.dirty,
-                dirty_reason=linter.dirty_reason,
-            )))
-        else:
-            line = (f"[lint] {len(lint_report.findings)} finding(s), "
-                    f"{lint_report.errors} error(s), "
-                    f"{lint_report.warnings} warning(s)")
-            if linter.dirty:
-                line += f" (recomputed at EOF: {linter.dirty_reason})"
-            print(line)
+    result, store = sess.result, sess.store
     if as_json:
-        print(dumps_event(tracker.finalized(seq, result)))
-        print(dumps_event(event_closed(tenant, session, seq)))
+        print(dumps_event(final))
+        print(dumps_event(event_closed("local", label, sess.seq)))
     else:
-        print(f"[watch] polls={counters.get('detection.incremental.polls', 0)} "
-              f"suffix_states="
-              f"{counters.get('detection.incremental.suffix_states', 0)} "
-              f"resets={counters.get('detection.incremental.resets', 0)}")
+        print("[watch] " + " ".join(
+            f"{k}={counters.get('detection.incremental.' + k, 0)}"
+            for k in ("polls", "suffix_states", "resets")))
         if result.witness is None:
             print("predicate holds in every consistent global state")
             if result.pending:
@@ -623,9 +575,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             print(f"final: violation possible at {result.witness}"
                   + (" and DEFINITELY occurs" if result.definitely else ""))
     if args.verify:
-        from repro.detection.conjunctive import possibly_bad
-
-        batch = possibly_bad(store.snapshot(), detector.predicate)
+        batch = possibly_bad(store.snapshot(), sess.pred)
         if batch != result.witness:
             print(f"VERIFY MISMATCH: batch detector found {batch}, "
                   f"streaming found {result.witness}", file=sys.stderr)

@@ -12,9 +12,10 @@ Layers (each its own module, importable without starting a server):
 
 :mod:`~repro.serve.protocol`
     The ``repro-verdicts/1`` event schema, its single serializer, and
-    the :class:`VerdictTracker` shared with ``repro watch --format json``.
+    the :class:`VerdictTracker` turning polls into witness events.
 :mod:`~repro.serve.session`
-    One stream's detection state (store + incremental detector).
+    One stream's detection state (store + incremental detector); also
+    what ``repro watch`` runs inline over a file.
 :mod:`~repro.serve.registry`
     Tenant quotas, admission control, subscriber fan-out.
 :mod:`~repro.serve.workers`

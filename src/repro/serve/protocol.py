@@ -289,8 +289,8 @@ class VerdictTracker:
     remembers the previous poll and emits events only on change (a moved
     witness after an epoch reset emits withdrawn *then* found, so a
     subscriber replaying the events always knows the current frontier).
-    Shared by the serving sessions and ``repro watch --format json`` so
-    the two surfaces cannot drift.
+    Owned by :class:`~repro.serve.session.DetectionSession`, which both
+    the server and ``repro watch`` run, so the two surfaces cannot drift.
     """
 
     def __init__(self, tenant: str, session: str):

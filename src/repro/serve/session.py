@@ -14,7 +14,9 @@ parsing them, and the session pays the JSON + append + poll cost where
 the CPU budget lives (a worker process).  Malformed lines and quota
 overruns do not raise out of :meth:`feed_line`; they convert the session
 to the *failed* state and surface as ``error`` events so one tenant's
-garbage can never unwind a worker serving other tenants.
+garbage can never unwind a worker serving other tenants.  ``repro
+watch`` runs one session inline over a file, so the CLI and the server
+share this record path.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from repro.serve.protocol import (
 )
 from repro.trace.io import apply_stream_record, stream_store_from_header
 
-__all__ = ["DetectionSession", "session_key", "session_store_target"]
+__all__ = ["DetectionSession", "fresh_session_store_target", "session_key",
+           "session_store_target"]
 
 
 def session_key(tenant: str, session: str) -> str:
@@ -53,6 +56,21 @@ def session_store_target(store_dir: str, key: str) -> str:
     """
     safe = re.sub(r"[^A-Za-z0-9._-]", "_", key)
     return "sqlite:" + os.path.join(store_dir, f"{safe}.db")
+
+
+def fresh_session_store_target(store_dir: Optional[str],
+                               key: str) -> Optional[str]:
+    """:func:`session_store_target` for a freshly opened session, emptied
+    of any stale chain an earlier run of the same session name left
+    (durable *restore* reopens the chain through its checkpoint instead);
+    ``None`` without a ``store_dir`` (in-memory serving)."""
+    if not store_dir:
+        return None
+    os.makedirs(store_dir, exist_ok=True)
+    target = session_store_target(store_dir, key)
+    if os.path.exists(target[len("sqlite:"):]):
+        os.unlink(target[len("sqlite:"):])
+    return target
 
 
 class DetectionSession:
@@ -82,6 +100,14 @@ class DetectionSession:
         finding events are a pure function of the input stream, so they
         stay byte-identical across worker counts and survive durable
         snapshot/restore.
+    store_target:
+        Where the session's trace lives: ``None``/``"memory"``, or
+        ``"sqlite:PATH"`` for a commit chain that durable checkpoints
+        then reference by commit id.  The caller picks (and empties) it.
+    label:
+        Prefix of every error and lint location, as ``label:lineno``
+        with the header at line 1 (default: the ``tenant/session`` key;
+        ``repro watch`` passes the file path).
     """
 
     def __init__(
@@ -94,27 +120,19 @@ class DetectionSession:
         max_store_states: int = 0,
         delay_per_record: float = 0.0,
         engine: str = "auto",
-        store_dir: Optional[str] = None,
+        store_target: Optional[str] = None,
         lint: bool = False,
+        label: Optional[str] = None,
     ):
         from repro.cli import parse_predicate  # lazy: cli imports are heavy
 
         self.tenant = tenant
         self.session = session
         self.key = session_key(tenant, session)
-        where = f"{self.key}:header"
-        self.store_target: Optional[str] = None
-        if store_dir:
-            os.makedirs(store_dir, exist_ok=True)
-            self.store_target = session_store_target(store_dir, self.key)
-            # A fresh open replaces any stale chain from an earlier run of
-            # the same session name (durable *restore* reopens it instead
-            # of coming through here).
-            stale = self.store_target[len("sqlite:"):]
-            if os.path.exists(stale):
-                os.unlink(stale)
-        self.store = stream_store_from_header(header, where,
-                                              self.store_target)
+        self.label = self.key if label is None else label
+        where = f"{self.label}:1"
+        self.store_target = store_target
+        self.store = stream_store_from_header(header, where, store_target)
         self.predicate_spec = predicate
         self.pred = parse_predicate(predicate, self.store.n)
         self.detector = IncrementalDetector(self.store, self.pred)
@@ -138,7 +156,7 @@ class DetectionSession:
         if lint:
             from repro.analysis.incremental import StreamingLinter
 
-            self.linter = StreamingLinter(source=self.key,
+            self.linter = StreamingLinter(source=self.label,
                                           predicate=self.pred)
             self._header_findings = [
                 f.to_dict()
@@ -179,13 +197,13 @@ class DetectionSession:
         if not line:
             return []
         self.lines += 1
-        where = f"{self.key}:{lineno if lineno is not None else self.seq + 1}"
+        where = f"{self.label}:{lineno if lineno is not None else self.seq + 1}"
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            return self._record(
-                [self._fail("malformed", f"not valid JSON ({exc})", where)]
-            )
+            return self._record([self._fail(
+                "malformed", f"{where}: not valid JSON ({exc})", where
+            )])
         try:
             kind = apply_stream_record(self.store, rec, where)
         except MalformedTraceError as exc:
@@ -358,8 +376,8 @@ class DetectionSession:
         run would have produced (pinned by tests/serve/test_durability.py)."""
         from repro.store.trace_store import TraceStore
 
-        # store_dir stays None here on purpose: a durable restore must
-        # reopen the existing chain, not wipe-and-recreate it.
+        # No store_target here on purpose: a durable restore reopens the
+        # existing chain from the checkpoint's store_ref below.
         sess = cls(tenant, session, header, predicate,
                    max_store_states=max_store_states,
                    delay_per_record=delay_per_record, engine=engine,

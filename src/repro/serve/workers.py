@@ -45,7 +45,7 @@ from repro.serve.protocol import (
     event_error,
     restored_event,
 )
-from repro.serve.session import DetectionSession
+from repro.serve.session import DetectionSession, fresh_session_store_target
 
 __all__ = ["DetectorPool", "InlinePool", "ProcessPool", "make_pool"]
 
@@ -65,19 +65,28 @@ def shard_of(key: str, shards: int) -> int:
     return zlib.crc32(key.encode("utf-8")) % shards
 
 
+def _session_kwargs(opts: Dict[str, Any]) -> Dict[str, Any]:
+    return dict(max_store_states=opts.get("max_store_states", 0),
+                delay_per_record=opts.get("delay_per_record", 0.0),
+                engine=opts.get("engine", "auto"),
+                lint=opts.get("lint", False))
+
+
+def _fresh_session(key: str, tenant: str, session: str,
+                   header: Dict[str, Any], predicate: str,
+                   opts: Dict[str, Any]) -> DetectionSession:
+    """A new session; under ``--store`` on an emptied per-session chain."""
+    return DetectionSession(
+        tenant, session, header, predicate, **_session_kwargs(opts),
+        store_target=fresh_session_store_target(opts.get("store_dir"), key))
+
+
 def _open_session(sessions: Dict[str, DetectionSession], key: str,
                   tenant: str, session: str, header: Dict[str, Any],
                   predicate: str, opts: Dict[str, Any]
                   ) -> List[Dict[str, Any]]:
     try:
-        sess = DetectionSession(
-            tenant, session, header, predicate,
-            max_store_states=opts.get("max_store_states", 0),
-            delay_per_record=opts.get("delay_per_record", 0.0),
-            engine=opts.get("engine", "auto"),
-            store_dir=opts.get("store_dir"),
-            lint=opts.get("lint", False),
-        )
+        sess = _fresh_session(key, tenant, session, header, predicate, opts)
     except Exception as exc:
         return [event_error(tenant, session, 0, "protocol", str(exc))]
     sessions[key] = sess
@@ -155,25 +164,19 @@ def _restore_session(sessions: Dict[str, DetectionSession], key: str,
     to clients before the crash) are returned for publication, so a
     worker crash never duplicates an event on a surviving connection.
     """
-    kwargs = dict(
-        max_store_states=opts.get("max_store_states", 0),
-        delay_per_record=opts.get("delay_per_record", 0.0),
-        engine=opts.get("engine", "auto"),
-        lint=opts.get("lint", False),
-    )
     try:
         if snapshot is not None:
             # restore() reopens a durable chain via the checkpoint's
-            # store_ref itself; store_dir must not be passed or the
-            # constructor would wipe the database being restored.
+            # store_ref itself; a fresh store target here would wipe the
+            # database being restored.
             sess = DetectionSession.restore(tenant, session, header,
-                                            predicate, snapshot, **kwargs)
+                                            predicate, snapshot,
+                                            **_session_kwargs(opts))
         else:
             # No checkpoint survived: full rebuild from the WAL tail, so
             # recreating the session's database from scratch is correct.
-            sess = DetectionSession(tenant, session, header, predicate,
-                                    store_dir=opts.get("store_dir"),
-                                    **kwargs)
+            sess = _fresh_session(key, tenant, session, header, predicate,
+                                  opts)
             sess.open_events()
         sess.feed(tail)
     except Exception as exc:

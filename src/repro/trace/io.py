@@ -46,25 +46,21 @@ Payloads are serialised only when JSON-representable; otherwise they are
 dropped with a ``repr`` placeholder (payloads are never semantically
 meaningful to the algorithms).
 
-Malformed inputs raise :class:`~repro.errors.MalformedTraceError` carrying
-the offending location -- the JSON path (``messages[3].src``) for batch
-documents, ``file:line`` for streams.
+The readers here are the strict ones: the shape of every document,
+header and record is checked by the shared decoders of
+:mod:`repro.trace.decode` (the linter's lenient parser uses the same
+ones), and the first problem raises
+:class:`~repro.errors.MalformedTraceError` carrying the offending
+location -- the JSON path (``messages[3].src``) for batch documents,
+``file:line`` for streams.  Semantic problems (D1--D3, causal delivery
+order) are raised by the deposet and the store, prefixed the same way.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    IO,
-    Iterator,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import IO, Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.causality.relations import StateRef
 from repro.errors import (
@@ -75,6 +71,14 @@ from repro.errors import (
 )
 from repro.storage.base import open_backend
 from repro.store.trace_store import TraceStore, iter_delivery_events
+from repro.trace.decode import (
+    FORMAT,
+    STREAM_FORMAT,
+    decode_document,
+    decode_stream_header,
+    decode_stream_record,
+    raise_first,
+)
 from repro.trace.deposet import Deposet
 from repro.trace.states import MessageArrow
 
@@ -88,16 +92,13 @@ __all__ = [
     "STREAM_FORMAT",
     "StreamWriter",
     "write_event_stream",
+    "iter_stream_lines",
     "ingest_event_stream",
     "read_event_stream",
     "sniff_trace_format",
     "stream_store_from_header",
     "apply_stream_record",
 ]
-
-FORMAT = "repro-deposet/1"
-STREAM_FORMAT = "repro-events/1"
-
 
 def _jsonable(value: Any) -> Any:
     try:
@@ -163,96 +164,27 @@ def deposet_to_dict(
     return out
 
 
-def _fail(path: str, msg: str) -> None:
-    raise MalformedTraceError(f"{path}: {msg}")
-
-
-def _check_ref(value: Any, path: str) -> Tuple[int, int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in value)
-    ):
-        _fail(path, f"expected a [process, state] pair, got {value!r}")
-    return value[0], value[1]
-
-
-def _check_vars(value: Any, path: str) -> Dict[str, Any]:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object of variables, got {value!r}")
-    return value
-
-
 def deposet_from_dict(data: Dict[str, Any]) -> Deposet:
     """Rebuild a deposet from :func:`deposet_to_dict` output.
 
     Structural problems raise :class:`MalformedTraceError` naming the
     offending JSON path (``states[1][3]``, ``messages[2].src``,
-    ``control[0]``, ``timestamps[1]``); semantic problems (D1--D3,
-    interference) surface from the :class:`Deposet` constructor with the
-    offending state refs in the message.
+    ``control[0]``, ``timestamps[1]``) -- the first problem
+    :func:`~repro.trace.decode.decode_document` reports; semantic
+    problems (D1--D3, interference) surface from the :class:`Deposet`
+    constructor with the offending state refs in the message.
     """
-    if not isinstance(data, dict):
-        raise MalformedTraceError(f"expected a trace object, got {type(data).__name__}")
-    if data.get("format") != FORMAT:
-        raise MalformedTraceError(
-            f"unknown trace format {data.get('format')!r}; expected {FORMAT!r}"
-        )
-    states = data.get("states")
-    if not isinstance(states, list) or not states:
-        _fail("states", "expected a non-empty list of per-process state lists")
-    for i, proc_states in enumerate(states):
-        if not isinstance(proc_states, list) or not proc_states:
-            _fail(f"states[{i}]", "expected a non-empty list of variable objects")
-        for a, vars in enumerate(proc_states):
-            _check_vars(vars, f"states[{i}][{a}]")
-    messages = []
-    for k, m in enumerate(data.get("messages", ())):
-        if not isinstance(m, dict):
-            _fail(f"messages[{k}]", f"expected an object, got {m!r}")
-        if "src" not in m or "dst" not in m:
-            _fail(f"messages[{k}]", "missing 'src' or 'dst'")
-        messages.append(
-            MessageArrow(
-                StateRef(*_check_ref(m["src"], f"messages[{k}].src")),
-                StateRef(*_check_ref(m["dst"], f"messages[{k}].dst")),
-                payload=m.get("payload"),
-                tag=m.get("tag"),
-            )
-        )
-    control = []
-    for k, arrow in enumerate(data.get("control") or ()):
-        if not isinstance(arrow, (list, tuple)) or len(arrow) != 2:
-            _fail(f"control[{k}]", f"expected a [src, dst] pair, got {arrow!r}")
-        control.append(
-            (
-                StateRef(*_check_ref(arrow[0], f"control[{k}][0]")),
-                StateRef(*_check_ref(arrow[1], f"control[{k}][1]")),
-            )
-        )
-    timestamps = data.get("timestamps")
-    if timestamps is not None:
-        if not isinstance(timestamps, list) or len(timestamps) != len(states):
-            _fail(
-                "timestamps",
-                f"expected {len(states)} per-process rows, got {timestamps!r}",
-            )
-        for i, row in enumerate(timestamps):
-            if not isinstance(row, list) or not all(
-                isinstance(t, (int, float)) and not isinstance(t, bool) for t in row
-            ):
-                _fail(f"timestamps[{i}]", f"expected a list of numbers, got {row!r}")
-            if len(row) != len(states[i]):
-                _fail(
-                    f"timestamps[{i}]",
-                    f"{len(row)} entries for {len(states[i])} states",
-                )
+    parts, problems = decode_document(data)
+    raise_first(problems)
     return Deposet(
-        states,
-        messages,
-        control,
-        proc_names=data.get("proc_names"),
-        timestamps=timestamps,
+        parts.states,
+        [
+            MessageArrow(StateRef(*src), StateRef(*dst), payload=payload, tag=tag)
+            for _path, src, dst, tag, payload in parts.messages
+        ],
+        [(StateRef(*src), StateRef(*dst)) for _path, src, dst in parts.control],
+        proc_names=parts.proc_names,
+        timestamps=parts.timestamps,
     )
 
 
@@ -269,25 +201,13 @@ def dump_deposet(
     )
 
 
-def _load_dict(path: Union[str, Path]) -> Dict[str, Any]:
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedTraceError(f"{path}: not valid JSON ({exc})") from exc
-
-
 def load_deposet(path: Union[str, Path]) -> Deposet:
     """Read a deposet written by :func:`dump_deposet`.
 
     Malformed traces raise :class:`MalformedTraceError` prefixed with the
     file path (and the offending JSON path for structural errors).
     """
-    try:
-        return deposet_from_dict(_load_dict(path))
-    except MalformedTraceError as exc:
-        if str(exc).startswith(str(path)):
-            raise
-        raise MalformedTraceError(f"{path}: {exc}") from exc
+    return load_deposet_meta(path)[0]
 
 
 def load_deposet_meta(
@@ -300,14 +220,14 @@ def load_deposet_meta(
     (re-loading a recorded run must not double-count its activity; pinned
     by ``tests/obs/test_metrics_reload.py``).
     """
-    data = _load_dict(path)
     try:
-        dep = deposet_from_dict(data)
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise MalformedTraceError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return deposet_from_dict(data), data.get("obs")
     except MalformedTraceError as exc:
-        if str(exc).startswith(str(path)):
-            raise
         raise MalformedTraceError(f"{path}: {exc}") from exc
-    return dep, data.get("obs")
 
 
 # -- streaming ---------------------------------------------------------------
@@ -472,10 +392,6 @@ def write_event_stream(
         writer.close()
 
 
-def _stream_fail(where: str, msg: str) -> None:
-    raise MalformedTraceError(f"{where}: {msg}")
-
-
 def stream_store_from_header(
     rec: Dict[str, Any], where: str, store_target: Optional[str] = None,
 ) -> TraceStore:
@@ -487,44 +403,22 @@ def stream_store_from_header(
     already hold a trace body; fork a branch instead of re-ingesting).
     Shared by file ingestion and the serving layer's per-tenant sessions.
     """
-    if not isinstance(rec, dict):
-        _stream_fail(where, f"expected an object, got {rec!r}")
-    if rec.get("format") != STREAM_FORMAT:
-        _stream_fail(
-            where,
-            f"unknown stream format {rec.get('format')!r}; "
-            f"expected {STREAM_FORMAT!r}",
+    header, problems = decode_stream_header(rec, where)
+    raise_first(problems)
+    backend = open_backend(
+        store_target or "memory",
+        n=len(header.start),
+        start_vars=header.start,
+        proc_names=header.proc_names,
+        start_times=header.start_times,
+    )
+    if backend.num_states != backend.n:
+        backend.close()
+        raise StorageError(
+            f"{store_target} already holds a trace body; ingest "
+            f"into a fresh database or fork a branch"
         )
-    start = rec.get("start")
-    if not isinstance(start, list) or not start:
-        _stream_fail(where, "header needs a non-empty 'start' list")
-    for i, vars in enumerate(start):
-        _check_vars(vars, f"{where}: start[{i}]")
-    try:
-        if store_target is None or store_target in ("memory", "mem"):
-            store = TraceStore(
-                len(start),
-                start_vars=start,
-                proc_names=rec.get("proc_names"),
-                start_times=rec.get("start_times"),
-            )
-        else:
-            backend = open_backend(
-                store_target,
-                n=len(start),
-                start_vars=start,
-                proc_names=rec.get("proc_names"),
-                start_times=rec.get("start_times"),
-            )
-            if backend.num_states != backend.n:
-                backend.close()
-                raise StorageError(
-                    f"{store_target} already holds a trace body; ingest "
-                    f"into a fresh database or fork a branch"
-                )
-            store = TraceStore(backend=backend)
-    except MalformedTraceError as exc:
-        raise MalformedTraceError(f"{where}: {exc}") from exc
+    store = TraceStore(backend=backend)
     store.obs = None
     return store
 
@@ -536,46 +430,51 @@ def apply_stream_record(
 
     ``"ev"``/``"recv"`` append a state, ``"ctl"`` inserts a control arrow,
     ``"obs"`` lands on ``store.obs``.  Malformed records raise
-    :class:`MalformedTraceError` prefixed with ``where``.  This is the
-    single application path shared by :func:`ingest_event_stream` and the
-    serving layer (one session = one store fed through here).
+    :class:`MalformedTraceError` prefixed with ``where``: structural
+    problems are the first one
+    :func:`~repro.trace.decode.decode_stream_record` reports, semantic
+    ones come from the store.  This is the single application path
+    shared by :func:`ingest_event_stream` and the serving layer (one
+    session = one store fed through here).
     """
-    if not isinstance(rec, dict):
-        _stream_fail(where, f"expected an object, got {rec!r}")
-    kind = rec.get("t")
+    kind, fields, problems = decode_stream_record(rec, store.n, where)
+    if problems:
+        raise_first(problems)
     try:
-        if kind == "ev" or kind == "recv":
-            proc = rec.get("p")
-            if not isinstance(proc, int) or isinstance(proc, bool):
-                _stream_fail(where, f"'p' must be a process index, got {proc!r}")
-            kwargs: Dict[str, Any] = {"time": rec.get("time")}
-            if "vars" in rec:
-                kwargs["vars"] = _check_vars(rec["vars"], f"{where}: vars")
-            else:
-                kwargs["updates"] = _check_vars(rec.get("u", {}), f"{where}: u")
-            if kind == "recv":
-                kwargs["received_from"] = _check_ref(
-                    rec.get("src"), f"{where}: src"
-                )
-                kwargs["payload"] = rec.get("payload")
-                kwargs["tag"] = rec.get("tag")
-            updates = kwargs.pop("updates", None)
-            store.append_state(proc, updates, **kwargs)
-        elif kind == "ctl":
-            store.append_control(
-                _check_ref(rec.get("src"), f"{where}: src"),
-                _check_ref(rec.get("dst"), f"{where}: dst"),
-            )
+        if kind == "ctl":
+            store.append_control(fields["src"], fields["dst"])
         elif kind == "obs":
-            store.obs = rec.get("obs")
+            store.obs = fields["obs"]
         else:
-            _stream_fail(where, f"unknown record type {kind!r}")
+            store.append_state(**fields)
     except MalformedTraceError as exc:
-        prefix = where.split(":", 1)[0]
-        if prefix and str(exc).startswith(prefix):
-            raise
         raise MalformedTraceError(f"{where}: {exc}") from exc
     return kind
+
+
+def iter_stream_lines(path: Union[str, Path]) -> Iterator[Tuple[int, str]]:
+    """``(lineno, line)`` for every non-blank line of a stream file.
+
+    A partial record on the *final* line (no trailing newline -- the
+    writer crashed or is still appending) raises the narrower
+    :class:`~repro.errors.TruncatedStreamError` so tailing consumers can
+    wait for the rest instead of aborting.
+    """
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if not raw.endswith("\n"):
+                try:
+                    json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TruncatedStreamError(
+                        f"{path}:{lineno}: truncated record at end of "
+                        f"stream ({exc}); the writer may still be appending",
+                        lineno=lineno,
+                    ) from exc
+            yield lineno, line
 
 
 def ingest_event_stream(
@@ -585,52 +484,30 @@ def ingest_event_stream(
     """Incrementally ingest a ``repro-events/1`` stream.
 
     Yields ``(store, record)`` after the header (record = the header) and
-    after each applied record, so a consumer can re-detect over the
-    appended suffix between records (``repro watch``).  The same store
-    object is yielded every time; the trailing ``"obs"`` block, when
-    present, is left on ``store`` as the attribute ``obs``.
-    ``store_target`` selects the storage engine (see
-    :func:`stream_store_from_header`); commit the store when done to
-    persist the chain.
+    after each applied record, so a consumer can act on the appended
+    suffix between records.  The same store object is yielded every
+    time; the trailing ``"obs"`` block, when present, is left on
+    ``store`` as the attribute ``obs``.  ``store_target`` selects the
+    storage engine (see :func:`stream_store_from_header`); commit the
+    store when done to persist the chain.
 
     Malformed records raise :class:`MalformedTraceError` carrying
-    ``file:line``; a partial record on the *final* line (no trailing
-    newline -- the writer crashed or is still appending) raises the
-    narrower :class:`~repro.errors.TruncatedStreamError` so tailing
-    consumers can wait for the rest instead of aborting.
+    ``file:line`` (a torn final line: see :func:`iter_stream_lines`).
     """
-    path = Path(path)
-    with open(path) as fh:
-        store: Optional[TraceStore] = None
-        lineno = 0
-        while True:
-            raw = fh.readline()
-            if raw == "":
-                break
-            lineno += 1
-            where = f"{path}:{lineno}"
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if not raw.endswith("\n"):
-                    raise TruncatedStreamError(
-                        f"{where}: truncated record at end of stream "
-                        f"({exc}); the writer may still be appending",
-                        lineno=lineno,
-                    ) from exc
-                raise MalformedTraceError(f"{where}: not valid JSON ({exc})") from exc
-            if not isinstance(rec, dict):
-                _stream_fail(where, f"expected an object, got {rec!r}")
-            if store is None:
-                store = stream_store_from_header(rec, where, store_target)
-            else:
-                apply_stream_record(store, rec, where)
-            yield store, rec
+    store: Optional[TraceStore] = None
+    for lineno, line in iter_stream_lines(path):
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedTraceError(f"{where}: not valid JSON ({exc})") from exc
         if store is None:
-            raise MalformedTraceError(f"{path}: empty stream (no header)")
+            store = stream_store_from_header(rec, where, store_target)
+        else:
+            apply_stream_record(store, rec, where)
+        yield store, rec
+    if store is None:
+        raise MalformedTraceError(f"{path}: empty stream (no header)")
 
 
 def read_event_stream(

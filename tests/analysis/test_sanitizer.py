@@ -1,5 +1,7 @@
 """The trace sanitizer: one planted corruption -> exactly one rule id."""
 
+import json
+
 from repro.analysis.sanitizer import find_event_cycle, sanitize
 
 from .conftest import parse_clean
@@ -139,3 +141,60 @@ def test_find_event_cycle_minimal_and_none():
     assert got is not None
     events, k = got
     assert len(events) == 2
+
+
+# -- T001: inputs that used to crash the lenient parser ----------------------
+
+
+def t001s(findings):
+    return [(f.location, f.message) for f in findings if f.rule_id == "T001"]
+
+
+def test_t001_non_list_messages_and_control(chain_dict):
+    from repro.analysis.raw import parse_batch
+
+    for key in ("messages", "control"):
+        for value in (5, None):
+            data = dict(chain_dict, **{key: value})
+            raw, findings = parse_batch(data, source="<test>")
+            assert t001s(findings) == [(key, f"expected a list, got {value!r}")]
+            assert raw is not None and getattr(raw, key) == []
+
+
+def test_t001_non_list_proc_names(chain_dict):
+    from repro.analysis.raw import parse_batch
+
+    raw, findings = parse_batch(dict(chain_dict, proc_names=5))
+    assert t001s(findings) == [("proc_names", "expected 3 names, got 5")]
+    assert raw.proc_names == []
+
+
+def test_t001_stream_header_start_times_and_proc_names():
+    from repro.analysis.raw import parse_stream_lines
+
+    header = {"format": "repro-events/1", "start": [{}, {}],
+              "start_times": [0.0, "x"], "proc_names": 5}
+    raw, findings = parse_stream_lines([json.dumps(header)], source="s")
+    assert t001s(findings) == [
+        ("s:1", "proc_names: expected 2 names, got 5"),
+        ("s:1", "start_times: expected 2 numbers, got [0.0, 'x']"),
+    ]
+    # repaired: no names, no timestamp channel, the stream still parses
+    assert raw.n == 2 and raw.proc_names == [] and raw.timestamps is None
+
+
+def test_t001_record_time_drops_the_timestamp_channel():
+    from repro.analysis.raw import parse_stream_lines
+
+    header = {"format": "repro-events/1", "start": [{}, {}],
+              "start_times": [0.0, 0.0]}
+    lines = [json.dumps(header),
+             '{"t": "ev", "p": 0, "u": {}, "time": 1.0}',
+             '{"t": "ev", "p": 1, "u": {}, "time": "x"}',
+             '{"t": "ev", "p": 1, "u": {}, "time": true}']
+    raw, findings = parse_stream_lines(lines, source="s")
+    assert t001s(findings) == [
+        ("s:3", "time: expected a number, got 'x'"),
+        ("s:4", "time: expected a number, got True"),
+    ]
+    assert raw.state_counts == (2, 3) and raw.timestamps is None

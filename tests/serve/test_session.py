@@ -96,3 +96,25 @@ def test_finalize_without_definitely_leaves_it_null():
 
 def test_session_key_is_the_routing_key():
     assert session_key("acme", "run-1") == "acme/run-1"
+
+
+@pytest.mark.parametrize("record", [
+    '{"t": "ev", "p": 0, "u": {}, "time": "x"}',
+    '{"t": "ev", "p": 0, "u": {}, "time": true}',
+    '{"t": "recv", "p": 1, "src": "x", "u": {}}',
+    '{"t": "ev", "p": 99, "u": {}}',
+    '[1, 2]',
+])
+def test_bad_record_field_is_malformed_not_internal(record):
+    """A structurally bad field fails the session with a typed, located
+    ``malformed`` error; nothing escapes feed_line (the worker would
+    otherwise report it as ``internal``)."""
+    _dep, header, lines = make_stream(3)
+    sess = DetectionSession("t", "s", header, PREDICATE)
+    sess.feed(lines[:2], base_lineno=2)
+    bad = sess.feed_line(record, lineno=4)
+    assert [e["e"] for e in bad] == ["error"]
+    assert bad[0]["code"] == "malformed"
+    assert bad[0]["where"] == "t/s:4"
+    assert bad[0]["message"].startswith("t/s:4: ")
+    assert sess.failed and sess.finalize() == []

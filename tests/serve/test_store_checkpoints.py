@@ -13,15 +13,20 @@ import os
 
 import pytest
 
-from repro.serve.session import DetectionSession, session_store_target
+from repro.serve.session import (
+    DetectionSession,
+    fresh_session_store_target,
+    session_store_target,
+)
 
 from .conftest import PREDICATE, make_stream
 
 
 def make_session(tmp_path, seed=1, **kwargs):
     dep, header, lines = make_stream(seed)
+    target = fresh_session_store_target(str(tmp_path / "stores"), "acme/s1")
     sess = DetectionSession("acme", "s1", header, PREDICATE,
-                           store_dir=str(tmp_path / "stores"), **kwargs)
+                           store_target=target, **kwargs)
     sess.open_event()
     return dep, header, lines, sess
 

@@ -158,6 +158,39 @@ def test_cli_watch_controlled_trace_holds(trace_file, tmp_path, capsys):
     assert "batch detector agrees" in out
 
 
+def test_cli_watch_lint_honours_inline_suppressions(tmp_path, capsys):
+    """An ``obs`` suppression mutes the watch roll-up exactly as it mutes
+    the serve session's (and file lint's): P203 is a finalize-mode rule,
+    so it must not appear, and the count drops to the one T007."""
+    from pathlib import Path
+
+    from repro.serve.session import DetectionSession
+
+    crossed = Path(__file__).resolve().parents[1] / "examples/traces/crossed.jsonl"
+    lines = crossed.read_text().splitlines() + [
+        '{"t": "obs", "obs": {"lint": {"suppress": ["P203"]}}}'
+    ]
+    stream = tmp_path / "crossed.jsonl"
+    stream.write_text("\n".join(lines) + "\n")
+    args = ["watch", str(stream), "--predicate", "at-least-one:up", "--lint"]
+
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "P203" not in out and "T007" in out
+    assert "[lint] 1 finding(s)" in out
+
+    assert main(args + ["--format", "json"]) == 0
+    events = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert not [e for e in events if e.get("rule") == "P203"]
+    (summary,) = [e for e in events if e["e"] == "lint"]
+
+    sess = DetectionSession("t", "s", json.loads(lines[0]), "at-least-one:up",
+                            lint=True)
+    sess.feed(lines[1:], base_lineno=2)
+    (served,) = [e for e in sess.finalize() if e["e"] == "lint"]
+    assert summary["findings"] == served["findings"] == 1
+
+
 def test_cli_watch_malformed_stream_errors(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"format": "repro-events/1", "start": [{}, {}]}\n{oops\n')

@@ -278,3 +278,57 @@ def test_unknown_format_error_is_malformed_trace_error(tmp_path):
     from repro.errors import MalformedTraceError, UnknownTraceFormatError
 
     assert issubclass(UnknownTraceFormatError, MalformedTraceError)
+
+
+# -- inputs that used to crash with an untyped ValueError/TypeError ----------
+
+
+@pytest.mark.parametrize("header, match", [
+    ({"start_times": [0.0, "x"]},
+     r":1: start_times: expected 2 numbers, got \[0\.0, 'x'\]"),
+    ({"start_times": [0.0, True]}, r":1: start_times: expected 2 numbers"),
+    ({"proc_names": 5}, r":1: proc_names: expected 2 names, got 5"),
+])
+def test_stream_header_field_errors_are_typed(tmp_path, header, match):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, json.dumps({"format": STREAM_FORMAT,
+                                  "start": [{}, {}], **header}))
+    with pytest.raises(MalformedTraceError, match=match):
+        list(ingest_event_stream(path))
+
+
+@pytest.mark.parametrize("time", ['"x"', "true", "[1]"])
+def test_stream_record_time_must_be_a_number(tmp_path, time):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, HEADER, '{"t": "ev", "p": 0, "u": {}, "time": %s}' % time)
+    with pytest.raises(MalformedTraceError,
+                       match=r":2: time: expected a number, got "):
+        list(ingest_event_stream(path))
+
+
+def test_stream_record_numeric_and_missing_time_still_apply(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, HEADER, '{"t": "ev", "p": 0, "u": {}, "time": 2}',
+                '{"t": "ev", "p": 1, "u": {}, "time": null}')
+    store, _obs = read_event_stream(path)
+    assert store.state_counts == (2, 2)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("messages", 5, r"^messages: expected a list, got 5$"),
+    ("messages", None, r"^messages: expected a list, got None$"),
+    ("control", 5, r"^control: expected a list, got 5$"),
+    ("proc_names", 5, r"^proc_names: expected 3 names, got 5$"),
+])
+def test_dict_field_errors_are_typed(key, value, match):
+    data = deposet_to_dict(sample_dep())
+    data[key] = value
+    with pytest.raises(MalformedTraceError, match=match):
+        deposet_from_dict(data)
+
+
+def test_dict_boolean_timestamp_is_rejected():
+    data = deposet_to_dict(sample_dep())
+    data["timestamps"] = [[0.0] * 4, [0.0] * 3, [True, 0.0]]
+    with pytest.raises(MalformedTraceError, match=r"^timestamps\[2\]: "):
+        deposet_from_dict(data)
