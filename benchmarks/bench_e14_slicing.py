@@ -31,7 +31,7 @@ from repro.workloads import availability_predicate, random_deposet
 TINY = bool(os.environ.get("E14_TINY"))
 #: (processes, events per process); tiny mode keeps CI in the sub-second range
 SIZES = [(3, 2), (3, 3)] if TINY else [(3, 3), (4, 4), (4, 6), (5, 6)]
-ENGINES = ("exhaustive", "slice", "parallel")
+ENGINES = ("exhaustive", "slice")
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_E14_SLICING.json"
 
 
@@ -79,7 +79,6 @@ def test_e14_slice_vs_exhaustive_scaling(benchmark):
                 ratio=round(ex[2] / max(1, sl[2]), 1),
                 exhaustive_ms=round(ex[3], 2),
                 slice_ms=round(sl[3], 2),
-                parallel_ms=round(per_engine["parallel"][3], 2),
             )
         return sweep
 

@@ -1,30 +1,26 @@
-"""E18 -- multi-core parallel slicing: correctness-gated speedup measurement.
+"""E18 -- vectorised truth tables: correctness-gated single-core speedup.
 
-PR 8 replaced the silently-wrong process-pool path of ``engine=parallel``
-(closure mutation that never reached the parent) with a chunk protocol
-whose workers *return* ``(proc, start, stop, bits)``, plus a picklable
-expression IR so compiled conjuncts evaluate as vectorised numpy kernels
--- serially and across real processes over shared-memory columns.
+The slicing engine builds one truth table per process.  Conjuncts with a
+compiled expression IR evaluate as one numpy kernel over packed columns;
+opaque closures fall back to the per-state python loop (the E14-era
+baseline).  This experiment pins the claim that makes the kernel worth
+having:
 
-This experiment pins the two claims that matter:
+* **correctness first** -- the vectorised tables are asserted bitwise
+  identical to the python-loop tables before any number is recorded;
+* **the work is real** -- on the largest trace the vectorised kernel
+  beats the python loop.
 
-* **correctness first** -- at every worker count and for both predicate
-  shapes (compiled IR and opaque closures) the truth tables are asserted
-  bitwise identical to the serial ``regular_form(pred).truth_tables``
-  before any number is recorded, and end-to-end possibly/definitely
-  verdicts match the serial slicing engine;
-* **the work is real** -- the vectorised serial kernel beats the
-  per-state python loop (the E14-era baseline), and on hardware with
-  >= 2 cores the fork backend beats the python loop by > 1.5x on the
-  largest trace.  On cpu-limited boxes that assertion is gated off and
-  the JSON records ``cpu_limited: true`` -- the multi-worker rows there
-  measure dispatch overhead, not parallelism, and say so.
+Timings are single-core medians of ``REPEATS`` runs; ``vector_ms``
+packs the columns on every run (the deposet's column cache is dropped
+first), so it is the cost of a cold build.
 
 Results land in ``BENCH_E18_PARALLEL.json`` at the repo root.
 """
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -33,21 +29,14 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.bench import Sweep
 from repro.predicates import And, LocalPredicate, Not
-from repro.slicing import (
-    definitely_parallel,
-    definitely_slice,
-    possibly_parallel,
-    possibly_slice,
-)
-from repro.slicing.parallel import parallel_truth_tables
 from repro.slicing.regular import regular_form
 from repro.workloads import availability_predicate, random_deposet
 
 TINY = bool(os.environ.get("E18_TINY"))
 CPUS = os.cpu_count() or 1
-#: (processes, events per process); the large case is where chunking pays
+#: (processes, events per process)
 SIZES = [(3, 40)] if TINY else [(4, 400), (6, 1200)]
-WORKERS = [1, 2] if TINY else sorted({1, 2, min(4, max(2, CPUS))})
+REPEATS = 1 if TINY else 5
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_E18_PARALLEL.json"
 
 
@@ -56,22 +45,31 @@ def workload(n, events):
         n=n, events_per_proc=events, message_rate=0.15, flip_rate=0.2,
         start_true_prob=0.95, seed=n * 1000 + events,
     )
-    compiled = availability_predicate(n, "up").negated()
-    opaque = And(
+    compiled = regular_form(availability_predicate(n, "up").negated())
+    opaque = regular_form(And(
         *(
             Not(LocalPredicate.from_vars(i, lambda v: bool(v.get("up", False))))
             for i in range(n)
         )
-    )
-    assert regular_form(compiled).compiled() is not None
-    assert regular_form(opaque).compiled() is None
+    ))
+    assert all(c.expr is not None for c in compiled.conjuncts.values())
+    assert all(c.expr is None for c in opaque.conjuncts.values())
     return dep, compiled, opaque
 
 
 def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, (time.perf_counter() - t0) * 1e3
+    """(result, median wall ms) over ``REPEATS`` calls."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append((time.perf_counter() - t0) * 1e3)
+    return out, statistics.median(times)
+
+
+def _drop_column_cache(dep):
+    dep.__dict__.pop("_column_cache", None)
+    return dep
 
 
 def _identical(expected, got):
@@ -80,129 +78,57 @@ def _identical(expected, got):
     )
 
 
-def test_e18_parallel_tables_speedup(benchmark):
+def test_e18_vectorised_tables_speedup(benchmark):
     def run():
-        sweep = Sweep("E18: parallel truth tables (verdicts gated first)")
+        sweep = Sweep("E18: vectorised vs python-loop truth tables")
         for n, events in SIZES:
             dep, compiled, opaque = workload(n, events)
-
-            # Baselines.  The opaque form evaluates through per-state
-            # closures -- the E14-era python loop; the compiled form runs
-            # the vectorised IR kernel.  Both must agree bitwise.
-            loop_tables, loop_ms = _timed(
-                lambda: regular_form(opaque).truth_tables(dep)
+            loop_tables, loop_ms = _timed(lambda: opaque.truth_tables(dep))
+            vector_tables, vector_ms = _timed(
+                lambda: compiled.truth_tables(_drop_column_cache(dep))
             )
-            ref, vector_ms = _timed(
-                lambda: regular_form(compiled).truth_tables(dep)
-            )
-            assert _identical(loop_tables, ref), (
+            # Correctness gate: bitwise identity before any number.
+            assert _identical(loop_tables, vector_tables), (
                 f"vectorised kernel diverges from the python loop at n={n}"
             )
-
-            for w in WORKERS:
-                par_c, par_c_ms = _timed(
-                    lambda: parallel_truth_tables(
-                        dep, compiled, max_workers=w, chunk_states=512
-                    )
-                )
-                par_o, par_o_ms = _timed(
-                    lambda: parallel_truth_tables(
-                        dep, opaque, max_workers=w, chunk_states=512
-                    )
-                )
-                # Correctness gate: bitwise identity at *every* worker
-                # count before a single number is recorded.
-                assert _identical(ref, par_c), (
-                    f"compiled parallel tables diverge at n={n} workers={w}"
-                )
-                assert _identical(ref, par_o), (
-                    f"opaque parallel tables diverge at n={n} workers={w}"
-                )
-                sweep.add(
-                    n=n,
-                    states=dep.num_states,
-                    workers=w,
-                    loop_ms=round(loop_ms, 2),
-                    vector_ms=round(vector_ms, 2),
-                    par_compiled_ms=round(par_c_ms, 2),
-                    par_opaque_ms=round(par_o_ms, 2),
-                    vector_speedup=round(loop_ms / max(vector_ms, 1e-6), 1),
-                    fork_speedup=round(loop_ms / max(par_o_ms, 1e-6), 1),
-                    identical=True,
-                )
+            sweep.add(
+                n=n,
+                states=dep.num_states,
+                loop_ms=round(loop_ms, 2),
+                vector_ms=round(vector_ms, 2),
+                vector_speedup=round(loop_ms / max(vector_ms, 1e-6), 1),
+                identical=True,
+            )
         return sweep
 
     sweep = run_once(benchmark, run)
     print("\n" + sweep.render())
-    print(f"[e18] cpus={CPUS} cpu_limited={CPUS < 2}")
+    print(f"[e18] cpus={CPUS} repeats={REPEATS}")
     benchmark.extra_info["table"] = sweep.rows
 
-    rows = sweep.rows
     if not TINY:
-        # Vectorisation is a single-core claim: no gating needed.
-        last = [r for r in rows if r["n"] == SIZES[-1][0]][0]
+        last = sweep.rows[-1]
         assert last["vector_ms"] < last["loop_ms"], (
             f"vectorised kernel must beat the python loop on the largest "
             f"trace: {last['vector_ms']} vs {last['loop_ms']} ms"
         )
-    # The multi-core claim is only physical with cores to scale on.
-    if CPUS >= 2 and not TINY:
-        best = max(
-            r["fork_speedup"] for r in rows
-            if r["n"] == SIZES[-1][0] and r["workers"] >= 2
-        )
-        assert best > 1.5, (
-            f"fork backend must beat the python loop by >1.5x on the "
-            f"largest trace with {CPUS} cpus; got {best}x"
-        )
-    _write_json(rows)
-
-
-def test_e18_verdicts_identical_across_engines(benchmark):
-    # End-to-end gate: the parallel engine's possibly/definitely verdicts
-    # match the serial slicing engine at every worker count.
-    def run():
-        n, events = SIZES[0]
-        dep, compiled, opaque = workload(n, min(events, 60))
-        for pred in (compiled, opaque):
-            base = (possibly_slice(dep, pred), definitely_slice(dep, pred))
-            for w in WORKERS:
-                got = (
-                    possibly_parallel(
-                        dep, pred, max_workers=w, chunk_states=64
-                    ),
-                    definitely_parallel(
-                        dep, pred, max_workers=w, chunk_states=64
-                    ),
-                )
-                assert got == base, (
-                    f"verdicts diverge at workers={w}: {got} vs {base}"
-                )
-        return base
-
-    run_once(benchmark, run)
+    _write_json(sweep.rows)
 
 
 def _write_json(rows):
     JSON_PATH.write_text(json.dumps(
         {
             "experiment": "E18",
-            "title": "multi-core parallel slicing kernels",
+            "title": "vectorised slicing truth tables",
             "tiny": TINY,
             "cpus": CPUS,
-            "cpu_limited": CPUS < 2,
-            "scaling_asserted": CPUS >= 2 and not TINY,
+            "repeats": REPEATS,
             "unit": {
-                "loop_ms": "serial per-state python-loop tables (E14 baseline)",
-                "vector_ms": "serial vectorised IR kernel tables",
-                "par_compiled_ms": "parallel driver, compiled IR, auto backend",
-                "par_opaque_ms": "parallel driver, opaque closures, auto backend",
+                "loop_ms": "serial per-state python-loop tables (E14 baseline), median",
+                "vector_ms": "serial vectorised IR kernel tables incl. "
+                             "column packing, median",
             },
-            "note": "truth tables are asserted bitwise identical to the "
-                    "serial engine at every worker count, and end-to-end "
-                    "verdicts match the serial slicing engine, before any "
-                    "number is recorded; on cpu_limited boxes the "
-                    "multi-worker rows measure dispatch overhead, not "
-                    "parallelism",
+            "note": "tables are asserted bitwise identical to the python "
+                    "loop before any number is recorded",
             "rows": rows,
         }, indent=2) + "\n")

@@ -15,7 +15,7 @@ the storage layer exists for:
 
 Then reopens the database cold in-process and asserts the snapshot is
 value-identical to the original trace and that every detection engine
-(slice | exhaustive | parallel) returns **byte-identical** verdicts on
+(slice | exhaustive) returns **byte-identical** verdicts on
 the sqlite-backed snapshot vs a plain in-memory store fed the same
 trace.
 
@@ -40,7 +40,6 @@ from repro.detection import (  # noqa: E402
     possibly,
     possibly_exhaustive,
 )
-from repro.slicing import definitely_parallel, possibly_parallel  # noqa: E402
 from repro.store import TraceStore  # noqa: E402
 from repro.trace import dump_deposet, load_deposet  # noqa: E402
 from repro.workloads import availability_predicate, random_deposet  # noqa: E402
@@ -75,8 +74,6 @@ def verdict_bytes(dep):
             definitely(dep, pred, engine="slice"),
             possibly_exhaustive(dep, pred),
             definitely_exhaustive(dep, pred),
-            possibly_parallel(dep, pred, chunk_states=2),
-            definitely_parallel(dep, pred, chunk_states=2),
         ],
         sort_keys=True,
     ).encode()

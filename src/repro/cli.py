@@ -14,8 +14,7 @@ Commands::
     python -m repro info trace.json
     python -m repro render trace.json --predicate at-least-one:up
     python -m repro detect trace.json --predicate at-least-one:up [--all]
-    python -m repro detect trace.json --predicate at-least-one:up \
-        --engine parallel --workers 4 --chunk-states 512
+    python -m repro detect trace.json --predicate at-least-one:up --engine slice
     python -m repro control trace.json --predicate mutex:cs -o fixed.json
     python -m repro replay fixed.json -o replayed.json
     python -m repro ingest trace.json -o stream.jsonl   # batch <-> stream
@@ -128,15 +127,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         from repro.obs import METRICS
 
         bad = pred.negated() if hasattr(pred, "negated") else ~pred
-        kwargs = {}
-        if args.engine == "parallel":
-            if args.workers is not None:
-                kwargs["max_workers"] = args.workers
-            if args.chunk_states is not None:
-                kwargs["chunk_states"] = args.chunk_states
         try:
             with METRICS.scoped() as scope:
-                witness = possibly(dep, bad, engine=args.engine, **kwargs)
+                witness = possibly(dep, bad, engine=args.engine)
         except NotRegularError as exc:
             print(f"engine {args.engine!r} needs a regular predicate: {exc}")
             return 2
@@ -145,7 +138,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         for key, label in (
             ("detection.slice.states", "slice states"),
             ("detection.lattice_states", "lattice states"),
-            ("detection.slice.parallel_chunks", "chunks"),
             ("detection.slice.fallbacks", "fallbacks"),
         ):
             if counters.get(key):
@@ -972,6 +964,13 @@ def _cmd_mutex_bench(args: argparse.Namespace) -> int:
     return 0 if report.safe and not report.deadlocked else 1
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -993,17 +992,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--predicate", required=True)
     p.add_argument("--all", action="store_true", help="enumerate all (exponential)")
-    p.add_argument("--limit", type=int, default=20)
-    p.add_argument("--engine", choices=["auto", "exhaustive", "slice", "parallel"],
+    p.add_argument("--limit", type=_non_negative_int, default=20)
+    p.add_argument("--engine", choices=["auto", "exhaustive", "slice"],
                    default=None,
                    help="detection engine (default: conjunctive fast path; "
                         "'slice' is the polynomial slicing engine, 'auto' "
                         "falls back to 'exhaustive' for non-regular predicates)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process/thread count for --engine parallel "
-                        "(default: cpu count)")
-    p.add_argument("--chunk-states", type=int, default=None, dest="chunk_states",
-                   help="states per parallel work chunk (default: 256)")
     p.set_defaults(fn=_cmd_detect)
 
     p = sub.add_parser("control", help="off-line predicate control")
@@ -1089,7 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("trace", help="a repro-events/1 stream")
     p.add_argument("--predicate", required=True)
-    p.add_argument("--engine", choices=["auto", "exhaustive", "slice", "parallel"],
+    p.add_argument("--engine", choices=["auto", "exhaustive", "slice"],
                    default="auto", help="batch engine for the final "
                                         "'definitely' upgrade")
     p.add_argument("--verify", action="store_true",
@@ -1125,8 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable; 0 store states = unlimited)")
     p.add_argument("--batch", type=int, default=64,
                    help="stream lines per worker batch")
-    p.add_argument("--engine", choices=["auto", "exhaustive", "slice",
-                                        "parallel"],
+    p.add_argument("--engine", choices=["auto", "exhaustive", "slice"],
                    default="auto", help="batch engine for final 'definitely'")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="seconds to wait for final verdicts at shutdown")

@@ -10,7 +10,7 @@ where a safety predicate fails.  This package provides:
 * :func:`possibly` / :func:`definitely` -- the engine front door:
   ``engine="auto"`` routes regular predicates to the polynomial slicing
   engine (:mod:`repro.slicing`) and everything else to the exhaustive
-  walk; ``exhaustive``/``slice``/``parallel`` force a choice.
+  walk; ``exhaustive``/``slice`` force a choice.
 * :func:`possibly_exhaustive` / :func:`definitely_exhaustive` -- lattice
   BFS ground truth for small traces.
 * :class:`IncrementalDetector` -- the streaming variant of the

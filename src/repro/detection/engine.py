@@ -7,12 +7,9 @@ One front door over the two detection implementations:
   exponential in processes;
 * ``slice`` -- the polynomial slicing engine in
   :mod:`repro.slicing.detect`: regular predicates only
-  (``pred.is_regular()``);
-* ``parallel`` -- the slicing engine with multi-core chunk-parallel truth
-  tables (:mod:`repro.slicing.parallel`): compiled-IR conjuncts are
-  evaluated by worker processes over shared-memory columns, opaque
-  closures fall back to fork-inherited or thread workers.  Tune with
-  ``max_workers``/``chunk_states``/``backend`` kwargs;
+  (``pred.is_regular()``).  Its truth tables are one vectorised numpy
+  pass per process for compiled conjuncts, so there is no separate
+  multi-worker engine;
 * ``auto`` (default) -- routed through the static predicate classifier
   (:func:`repro.analysis.classifier.classify`): ``slice`` when the
   derived class is regular, else ``exhaustive``.  The classifier reuses
@@ -23,7 +20,7 @@ One front door over the two detection implementations:
   ``detection.slice.fallbacks`` so workloads silently dropping off the
   fast path are visible in metrics.
 
-Explicitly requesting ``slice``/``parallel`` for a non-regular predicate
+Explicitly requesting ``slice`` for a non-regular predicate
 raises :class:`~repro.errors.NotRegularError` rather than silently
 changing complexity class.
 """
@@ -39,7 +36,7 @@ from repro.trace.global_state import Cut
 
 __all__ = ["ENGINES", "possibly", "definitely"]
 
-ENGINES: Tuple[str, ...] = ("auto", "exhaustive", "slice", "parallel")
+ENGINES: Tuple[str, ...] = ("auto", "exhaustive", "slice")
 
 _SLICE_FALLBACKS = METRICS.counter("detection.slice.fallbacks")
 
@@ -59,47 +56,31 @@ def _resolve(pred: Predicate, engine: str) -> str:
     return which
 
 
-def possibly(
-    dep: Deposet, pred: Predicate, engine: str = "auto", **kwargs
-) -> Optional[Cut]:
+def possibly(dep: Deposet, pred: Predicate, engine: str = "auto") -> Optional[Cut]:
     """A consistent cut satisfying ``pred``, or ``None``.
 
     All engines agree on ``None``-ness; the witness cut may differ (the
     slice engine returns the lattice-least witness, the exhaustive engine
-    the first in enumeration order).  ``kwargs`` pass through to the
-    selected engine (e.g. ``max_workers``/``chunk_states``/``backend``
-    for ``parallel``).
+    the first in enumeration order).
     """
-    which = _resolve(pred, engine)
-    if which == "exhaustive":
+    if _resolve(pred, engine) == "exhaustive":
         from repro.detection.lattice_walk import possibly_exhaustive
 
-        return possibly_exhaustive(dep, pred, **kwargs)
-    if which == "slice":
-        from repro.slicing.detect import possibly_slice
+        return possibly_exhaustive(dep, pred)
+    from repro.slicing.detect import possibly_slice
 
-        return possibly_slice(dep, pred, **kwargs)
-    from repro.slicing.parallel import possibly_parallel
-
-    return possibly_parallel(dep, pred, **kwargs)
+    return possibly_slice(dep, pred)
 
 
-def definitely(
-    dep: Deposet, pred: Predicate, engine: str = "auto", **kwargs
-) -> bool:
+def definitely(dep: Deposet, pred: Predicate, engine: str = "auto") -> bool:
     """Does every global sequence pass through a cut satisfying ``pred``?
 
     Subset-move semantics in every engine; verdicts are identical.
     """
-    which = _resolve(pred, engine)
-    if which == "exhaustive":
+    if _resolve(pred, engine) == "exhaustive":
         from repro.detection.lattice_walk import definitely_exhaustive
 
-        return definitely_exhaustive(dep, pred, **kwargs)
-    if which == "slice":
-        from repro.slicing.detect import definitely_slice
+        return definitely_exhaustive(dep, pred)
+    from repro.slicing.detect import definitely_slice
 
-        return definitely_slice(dep, pred, **kwargs)
-    from repro.slicing.parallel import definitely_parallel
-
-    return definitely_parallel(dep, pred, **kwargs)
+    return definitely_slice(dep, pred)

@@ -138,7 +138,7 @@ def fold_local(pred: Predicate) -> Optional[LocalPredicate]:
 
 
 def lower_one_proc(pred: Predicate) -> Optional[Expr]:
-    """Lower a one-process predicate subtree into the picklable IR.
+    """Lower a one-process predicate subtree into the expression IR.
 
     Mirrors :class:`_EvalOneProc` node for node; returns ``None`` when any
     leaf is an opaque callable (a :class:`LocalPredicate` built without an

@@ -1,9 +1,8 @@
-"""A picklable expression IR for local predicates.
+"""A vectorisable expression IR for local predicates.
 
-``LocalPredicate.fn`` is a closure, which pins the whole slicing stack to
-in-process evaluation: closures cannot cross a process boundary, and a
-per-state Python call cannot be vectorised.  This module is the escape
-hatch: a tiny expression language over *one process's local state* --
+``LocalPredicate.fn`` is a closure, and a per-state Python call cannot be
+vectorised.  This module is the escape hatch: a tiny expression language
+over *one process's local state* --
 variable truthiness/equality and state-index comparisons, closed under
 not/and/or -- that the structured ``LocalPredicate`` constructors lower
 into at build time.
@@ -16,12 +15,10 @@ Every node offers two evaluation modes with identical semantics:
 * :meth:`Expr.eval_block` -- a whole state interval at once over a packed
   :class:`~repro.store.columns.ColumnBlock`, as one numpy kernel.
 
-Nodes are frozen dataclasses of plain data, so an expression pickles --
-this is what lets the parallel slicing driver ship *compiled conjuncts*
-to worker processes instead of (unpicklable, and in the old driver
-silently-wrong) closures.  Predicates built from raw callables
-(``LocalPredicate.from_vars`` / direct construction) have no IR; callers
-must treat ``expr is None`` as "evaluate in-process only".
+Nodes are frozen dataclasses of plain data (hashable, comparable).
+Predicates built from raw callables (``LocalPredicate.from_vars`` / direct
+construction) have no IR; callers must treat ``expr is None`` as
+"evaluate the closure state by state".
 
 Bit-for-bit agreement between the two modes and the lambda path is pinned
 by ``tests/slicing/test_kernels.py``.
@@ -53,7 +50,7 @@ _NATIVE_SCALARS = (bool, int, float, np.bool_, np.integer, np.floating)
 
 
 class Expr:
-    """Base class; subclasses are frozen dataclasses (hashable, picklable)."""
+    """Base class; subclasses are frozen dataclasses of plain data."""
 
     def eval_state(self, vars: Mapping[str, Any], index: int) -> bool:
         """The expression at one local state (``vars``, state ``index``)."""
@@ -129,7 +126,7 @@ class IndexAtLeast(Expr):
         return index >= self.k
 
     def eval_block(self, block: ColumnBlock, lo: int, hi: int) -> np.ndarray:
-        return np.arange(block.offset + lo, block.offset + hi) >= self.k
+        return np.arange(lo, hi) >= self.k
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ class IndexLess(Expr):
         return index < self.k
 
     def eval_block(self, block: ColumnBlock, lo: int, hi: int) -> np.ndarray:
-        return np.arange(block.offset + lo, block.offset + hi) < self.k
+        return np.arange(lo, hi) < self.k
 
 
 @dataclass(frozen=True)

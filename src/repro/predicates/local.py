@@ -31,11 +31,11 @@ class LocalPredicate(Predicate):
     * :meth:`after` / :meth:`at_or_after` / :meth:`before` -- index tests,
       which express the paper's "x must happen before y" controls.
 
-    The structured constructors additionally carry ``expr``, a picklable
+    The structured constructors additionally carry ``expr``, an
     :class:`~repro.predicates.expr.Expr` with the same semantics as ``fn``.
-    The slicing engines use it for vectorised and multi-process evaluation;
-    ``expr is None`` (raw callables, :meth:`from_vars`) means the predicate
-    can only be evaluated in-process via ``fn``.
+    The slicing engine uses it for vectorised evaluation; ``expr is None``
+    (raw callables, :meth:`from_vars`) means the predicate can only be
+    evaluated state by state via ``fn``.
     """
 
     def __init__(

@@ -15,11 +15,11 @@ Layers:
 * :mod:`repro.slicing.slice`    -- the slice itself: bidirectional
   candidate elimination, skip arrows, satisfying-cut enumeration;
 * :mod:`repro.slicing.detect`   -- ``possibly_slice`` / ``definitely_slice``,
-  counterparts of the exhaustive walkers with ``detection.slice.*`` metrics;
-* :mod:`repro.slicing.parallel` -- work-splitting driver chunking
-  truth-table evaluation per process interval over ``concurrent.futures``.
+  counterparts of the exhaustive walkers with ``detection.slice.*`` metrics.
 
-Engine selection (auto/exhaustive/slice/parallel) lives in
+Truth tables are built serially: compiled conjuncts evaluate as one
+vectorised numpy kernel per process, which leaves nothing worth spreading
+over worker processes.  Engine selection (auto/exhaustive/slice) lives in
 :mod:`repro.detection.engine`; non-regular predicates raise
 :class:`~repro.errors.NotRegularError` here and fall back there.
 
@@ -34,11 +34,6 @@ from repro.slicing.slice import (
     greatest_satisfying_cut,
 )
 from repro.slicing.detect import definitely_slice, possibly_slice, slice_of
-from repro.slicing.parallel import (
-    definitely_parallel,
-    parallel_truth_tables,
-    possibly_parallel,
-)
 
 __all__ = [
     "RegularForm",
@@ -49,7 +44,4 @@ __all__ = [
     "slice_of",
     "possibly_slice",
     "definitely_slice",
-    "parallel_truth_tables",
-    "possibly_parallel",
-    "definitely_parallel",
 ]

@@ -29,9 +29,9 @@ Metrics (all under ``detection.slice.*``):
 * ``states``     -- work units: one per *local* state whose conjunct was
   **actually evaluated** (truth-table build: unconstrained processes and
   the constant-false short-circuit contribute nothing) plus one per
-  *global* cut the search materialised.  The serial and parallel engines
-  charge identically (see :func:`_table_states`; contract pinned in
-  ``tests/detection/test_walk_counters.py``).  Comparable against
+  *global* cut the search materialised (see :func:`_table_states`;
+  contract pinned in ``tests/detection/test_walk_counters.py``).
+  Comparable against
   ``detection.lattice_states`` -- both count predicate-evaluation work --
   which is the E14 ratio;
 * ``fallbacks``  -- +1 per :class:`NotRegularError` raised.
@@ -39,9 +39,7 @@ Metrics (all under ``detection.slice.*``):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from repro.errors import NotRegularError
 from repro.obs.metrics import METRICS
@@ -76,8 +74,7 @@ def _table_states(form: RegularForm, dep: Deposet) -> int:
     One per local state whose conjunct is actually evaluated: only the
     processes named in ``form.conjuncts`` count (unconstrained rows are a
     single ``np.ones``), and a constant-false short-circuit builds no
-    tables at all, so it counts zero.  Both the serial and the parallel
-    driver charge exactly this.
+    tables at all, so it counts zero.
     """
     if form.constants_false(dep):
         return 0
@@ -85,35 +82,19 @@ def _table_states(form: RegularForm, dep: Deposet) -> int:
     return sum(counts[i] for i in form.conjuncts)
 
 
-def slice_of(
-    dep: Deposet,
-    pred: Predicate,
-    *,
-    tables: Optional[Sequence[np.ndarray]] = None,
-) -> ComputationSlice:
+def slice_of(dep: Deposet, pred: Predicate) -> ComputationSlice:
     """The computation slice of ``dep`` w.r.t. regular ``pred``.
 
-    ``tables`` short-circuits the truth-table build (the parallel driver
-    precomputes them); counted work then covers only the sweeps.
     Raises :class:`NotRegularError` outside the regular class, and
-    ``ValueError`` when the predicate constrains a process ``dep`` lacks
-    -- also when precomputed ``tables`` are passed, so the serial and
-    parallel engines reject malformed input identically.
+    ``ValueError`` when the predicate constrains a process ``dep`` lacks.
     """
     form = _require_regular(pred)
-    form.validate_for(dep)
-    if tables is None:
-        tables = form.truth_tables(dep)
-        _SLICE_STATES.inc(_table_states(form, dep))
+    tables = form.truth_tables(dep)
+    _SLICE_STATES.inc(_table_states(form, dep))
     return compute_slice(dep, tables)
 
 
-def possibly_slice(
-    dep: Deposet,
-    pred: Predicate,
-    *,
-    tables: Optional[Sequence[np.ndarray]] = None,
-) -> Optional[Cut]:
+def possibly_slice(dep: Deposet, pred: Predicate) -> Optional[Cut]:
     """The least consistent cut satisfying ``pred``, or ``None``.
 
     Same contract as ``possibly_exhaustive`` (a witness cut or ``None``),
@@ -122,7 +103,7 @@ def possibly_slice(
     """
     _SLICE_WALKS.inc()
     with TRACER.span("slice.possibly", states=dep.num_states):
-        sl = slice_of(dep, pred, tables=tables)
+        sl = slice_of(dep, pred)
         if sl.least is not None:
             _SLICE_STATES.inc(1)
             if TRACER.enabled:
@@ -130,12 +111,7 @@ def possibly_slice(
         return sl.least
 
 
-def definitely_slice(
-    dep: Deposet,
-    pred: Predicate,
-    *,
-    tables: Optional[Sequence[np.ndarray]] = None,
-) -> bool:
+def definitely_slice(dep: Deposet, pred: Predicate) -> bool:
     """Does every global sequence hit a cut satisfying ``pred``?
 
     Subset-move semantics, identical to ``definitely_exhaustive``; the
@@ -144,7 +120,7 @@ def definitely_slice(
     """
     _SLICE_WALKS.inc()
     with TRACER.span("slice.definitely", states=dep.num_states):
-        sl = slice_of(dep, pred, tables=tables)
+        sl = slice_of(dep, pred)
         return _definitely_from_slice(sl)
 
 

@@ -30,7 +30,6 @@ import numpy as np
 from repro.predicates.base import Predicate, TruePredicate
 from repro.predicates.boolean import And, Not, Or
 from repro.predicates.disjunctive import DisjunctivePredicate, fold_local
-from repro.predicates.expr import Expr
 from repro.predicates.local import LocalPredicate
 from repro.trace.deposet import Deposet
 from repro.trace.global_state import initial_cut
@@ -55,29 +54,14 @@ class RegularForm:
     def validate_for(self, dep: Deposet) -> None:
         """Raise ``ValueError`` when a conjunct names a process ``dep`` lacks.
 
-        Called by every truth-table producer *and* by ``slice_of`` itself,
-        so the serial and parallel engines reject a malformed predicate
-        identically (including when precomputed tables are passed in).
+        Called by :meth:`truth_tables`, so ``slice_of`` and both slicing
+        detectors reject a malformed predicate with one error text.
         """
         if self.conjuncts and max(self.conjuncts) >= dep.n:
             raise ValueError(
                 f"predicate constrains process {max(self.conjuncts)}, "
                 f"deposet has {dep.n}"
             )
-
-    def compiled(self) -> Optional[Dict[int, Expr]]:
-        """The conjuncts as picklable IR, or ``None`` if any is opaque.
-
-        A non-``None`` result is what the parallel driver ships to worker
-        processes; ``None`` routes evaluation through the in-process
-        closure path.
-        """
-        out: Dict[int, Expr] = {}
-        for proc, local in self.conjuncts.items():
-            if local.expr is None:
-                return None
-            out[proc] = local.expr
-        return out
 
     def constants_false(self, dep: Deposet) -> bool:
         """True when a constant factor is false (the slice is empty)."""

@@ -14,9 +14,6 @@ numpy infers for the homogeneous scalar run) only when the values round
 trip *exactly*; anything else -- missing keys, ``None``, strings, mixed
 precision beyond float64's integer range -- falls back to an object
 column, which the expression kernels evaluate with Python semantics.
-Native columns are what the parallel driver ships through
-``multiprocessing.shared_memory``: a flat buffer plus ``(dtype, shape)``
-is the whole wire format, so workers attach zero-copy.
 
 Exactness contract: for every variable ``v`` and state ``a``,
 ``block.columns[v][a]`` compares (``==``) and truth-tests (``bool``)
@@ -77,31 +74,10 @@ def _object_column(raw: Sequence[Any]) -> np.ndarray:
 @dataclass(frozen=True)
 class ColumnBlock:
     """Packed columns of one process: ``columns[name][a]`` holds the value
-    at local state ``offset + a``.
-
-    ``offset`` is zero for a full-process block; :meth:`narrow` produces
-    sub-blocks whose rows keep their *absolute* state identity, which is
-    what index-test expressions (``at_or_after``/``before``) evaluate
-    against.
-    """
+    at local state ``a``."""
 
     m: int
     columns: Dict[str, np.ndarray]
-    offset: int = 0
-
-    def narrow(self, lo: int, hi: int) -> "ColumnBlock":
-        """A view over rows ``[lo, hi)`` -- used to ship one chunk's worth
-        of data to an executor without copying the rest of the column."""
-        return ColumnBlock(
-            m=hi - lo,
-            columns={k: v[lo:hi] for k, v in self.columns.items()},
-            offset=self.offset + lo,
-        )
-
-    @property
-    def all_native(self) -> bool:
-        """True when every column has a fixed-size (shared-memory-able) dtype."""
-        return all(c.dtype != object for c in self.columns.values())
 
 
 def pack_block(

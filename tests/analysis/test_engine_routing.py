@@ -4,7 +4,7 @@ predicate to the slicing engine, and all engines agree on verdicts."""
 import pytest
 
 from repro.analysis.classifier import classify
-from repro.detection.engine import _resolve, definitely, possibly
+from repro.detection.engine import ENGINES, _resolve, definitely, possibly
 from repro.errors import NotRegularError
 from repro.obs.metrics import METRICS
 from repro.predicates.base import FALSE, TRUE
@@ -56,13 +56,24 @@ def test_explicit_slice_on_non_regular_raises():
     with pytest.raises(NotRegularError):
         possibly(dep, pred, engine="slice")
     with pytest.raises(NotRegularError):
-        definitely(dep, pred, engine="parallel")
+        definitely(dep, pred, engine="slice")
 
 
 def test_unknown_engine_rejected():
     dep = random_deposet(2, 2, seed=0)
     with pytest.raises(ValueError):
         possibly(dep, TRUE, engine="warp")
+
+
+def test_parallel_engine_is_gone():
+    assert ENGINES == ("auto", "exhaustive", "slice")
+    dep = random_deposet(2, 2, seed=0)
+    for fn in (possibly, definitely):
+        with pytest.raises(ValueError) as exc_info:
+            fn(dep, up(0) & up(1), engine="parallel")
+        msg = str(exc_info.value)
+        assert "unknown engine 'parallel'" in msg
+        assert all(repr(e) in msg for e in ENGINES)
 
 
 def test_fallback_counter_increments_on_exhaustive_routing():

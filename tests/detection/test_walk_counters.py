@@ -135,9 +135,8 @@ def test_enabled_tracing_emits_expand_events():
 #
 # One unit per *local* state whose conjunct was actually evaluated, plus one
 # per *global* cut the search materialised.  Unconstrained processes charge
-# nothing (their row is a single np.ones), a constant-false short-circuit
-# charges nothing (no tables are built), and the parallel driver charges
-# exactly what the serial engine does.
+# nothing (their row is a single np.ones), and a constant-false
+# short-circuit charges nothing (no tables are built).
 
 
 def test_slice_states_counts_only_constrained_processes():
@@ -158,17 +157,3 @@ def test_slice_states_zero_on_constant_false_short_circuit():
     with METRICS.scoped() as scope:
         assert possibly_slice(dep, And(FALSE, at_state(0, 1))) is None
     assert scope.counter("detection.slice.states") == 0
-
-
-def test_parallel_charges_identically_to_serial():
-    from repro.slicing import possibly_parallel
-
-    dep = grid_2x3()
-    for pred in (at_state(0, 1), center_only(), And(FALSE, at_state(0, 1))):
-        with METRICS.scoped() as scope:
-            serial = possibly_slice(dep, pred)
-        serial_states = scope.counter("detection.slice.states")
-        with METRICS.scoped() as scope:
-            par = possibly_parallel(dep, pred, chunk_states=2)
-        assert par == serial
-        assert scope.counter("detection.slice.states") == serial_states

@@ -3,7 +3,7 @@
 The load-bearing guarantee of the whole subsystem: on any (small) random
 deposet -- with or without control arrows -- ``possibly_slice`` /
 ``definitely_slice`` return the same verdicts as the exponential lattice
-walk, and the parallel driver returns the same answers as the serial one.
+walk.
 """
 
 import random
@@ -21,12 +21,7 @@ from repro.detection import (
 )
 from repro.errors import InterferenceError, MalformedTraceError, NotRegularError
 from repro.predicates import LocalPredicate, Or
-from repro.slicing import (
-    definitely_parallel,
-    definitely_slice,
-    possibly_parallel,
-    possibly_slice,
-)
+from repro.slicing import definitely_slice, possibly_slice
 from repro.workloads import availability_predicate, random_deposet
 
 SMALL = dict(n=3, events_per_proc=4, message_rate=0.4, flip_rate=0.4)
@@ -96,19 +91,6 @@ def test_agreement_survives_control_arrows(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=50_000))
-def test_parallel_agrees_with_serial(seed):
-    dep = small_dep(seed)
-    # tiny chunks so even small traces split into several jobs
-    assert possibly_parallel(dep, bad(), chunk_states=2) == possibly_slice(
-        dep, bad()
-    )
-    assert definitely_parallel(dep, bad(), chunk_states=2) == definitely_slice(
-        dep, bad()
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=50_000))
 def test_engine_auto_matches_exhaustive_on_regular(seed):
     dep = small_dep(seed)
     assert (possibly(dep, bad(), engine="auto") is None) == (
@@ -131,8 +113,6 @@ def test_explicit_slice_engine_rejects_non_regular():
         possibly_slice(dep, nonregular())
     with pytest.raises(NotRegularError):
         definitely_slice(dep, nonregular())
-    with pytest.raises(NotRegularError):
-        possibly_parallel(dep, nonregular())
 
 
 def test_engine_auto_falls_back_for_non_regular():

@@ -11,16 +11,13 @@ control arrows:
 * ``Expr.eval_block`` vs ``Expr.eval_state`` vs the constructor lambda,
   including missing keys, ``None`` values, and mixed-type columns (the
   columnar packing exactness contract);
-* ``in_tables_many`` vs scalar ``in_tables``;
-* the degenerate chunkings (``chunk_states=1``, single-process deposets)
-  of the parallel driver.
+* ``in_tables_many`` vs scalar ``in_tables``.
 """
 
 import random
 from collections import deque
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +37,6 @@ from repro.predicates.expr import (
     VarTruthy,
 )
 from repro.slicing import slice_of
-from repro.slicing.parallel import parallel_truth_tables
 from repro.slicing.regular import regular_form
 from repro.slicing.slice import greatest_satisfying_cut
 from repro.store.columns import pack_block, pack_values
@@ -217,7 +213,8 @@ def test_sweeps_single_process():
 def test_vectorised_tables_match_lambda_evaluation(seed):
     dep = small_dep(seed)
     form = regular_form(bad())
-    assert form is not None and form.compiled() is not None
+    assert form is not None
+    assert all(local.expr is not None for local in form.conjuncts.values())
     tables = form.truth_tables(dep)
     for i, local in form.conjuncts.items():
         expected = [local.holds_at(dep, a) for a in range(dep.state_counts[i])]
@@ -302,10 +299,9 @@ def test_eval_block_matches_eval_state(rows, expr):
     full = expr.eval_block(block, 0, m)
     assert full.dtype == np.bool_ and full.shape == (m,)
     assert full.tolist() == [expr.eval_state(r, a) for a, r in enumerate(rows)]
-    # narrowed chunks keep absolute state identity (index expressions!)
+    # a sub-interval keeps absolute state identity (index expressions!)
     lo, hi = m // 3, max(m // 3, 2 * m // 3)
-    sub = block.narrow(lo, hi)
-    assert expr.eval_block(sub, 0, hi - lo).tolist() == full[lo:hi].tolist()
+    assert expr.eval_block(block, lo, hi).tolist() == full[lo:hi].tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,23 +349,3 @@ def test_lower_one_proc_bails_on_opaque_leaves():
     from repro.predicates.boolean import And, Not
 
     assert lower_one_proc(And(Not(opaque), LocalPredicate.var_true(0, "x"))) is None
-
-
-# -- degenerate chunkings ----------------------------------------------------
-
-
-@pytest.mark.parametrize("chunk_states", [1, 3, 10_000])
-def test_chunkings_bitwise_identical(chunk_states):
-    dep = small_dep(17, events_per_proc=6)
-    ref = regular_form(bad()).truth_tables(dep)
-    got = parallel_truth_tables(dep, bad(), chunk_states=chunk_states)
-    assert all(np.array_equal(a, b) for a, b in zip(ref, got))
-
-
-def test_single_process_chunking():
-    dep = random_deposet(n=1, events_per_proc=9, message_rate=0.0, seed=5)
-    pred = bad(1)
-    ref = regular_form(pred).truth_tables(dep)
-    for chunk_states in (1, 4, 100):
-        got = parallel_truth_tables(dep, pred, chunk_states=chunk_states)
-        assert all(np.array_equal(a, b) for a, b in zip(ref, got))

@@ -1,11 +1,18 @@
 """The slice structure: extreme cuts, enumeration, skip arrows."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.causality.relations import StateRef
 from repro.predicates import local_truth_table
-from repro.slicing import compute_slice, greatest_satisfying_cut
+from repro.slicing import (
+    compute_slice,
+    definitely_slice,
+    greatest_satisfying_cut,
+    possibly_slice,
+    slice_of,
+)
 from repro.trace import CutLattice
 from repro.workloads import availability_predicate, random_deposet
 
@@ -109,3 +116,15 @@ def test_band_volume_bounds_enumeration():
     sl = compute_slice(dep, tables)
     if not sl.empty:
         assert sl.count_cuts() <= sl.band_volume
+
+
+def test_malformed_predicate_raises_same_valueerror_everywhere():
+    dep = random_deposet(n=2, events_per_proc=4, message_rate=0.3, seed=9)
+    pred = availability_predicate(4, "up").negated()  # constrains P3; dep has 2
+    msgs = []
+    for call in (slice_of, possibly_slice, definitely_slice):
+        with pytest.raises(ValueError) as exc_info:
+            call(dep, pred)
+        msgs.append(str(exc_info.value))
+    assert len(set(msgs)) == 1, f"callers disagree on the error: {msgs}"
+    assert "constrains process 3" in msgs[0]

@@ -9,7 +9,7 @@ indistinguishable from ``MemoryBackend``:
 * snapshots compare equal as :class:`~repro.trace.deposet.Deposet`
   values (states, messages, control, timestamps);
 * the causal index agrees clock-for-clock;
-* every detection engine (exhaustive | slice | parallel) returns the
+* every detection engine (exhaustive | slice) returns the
   same verdicts on both snapshots **and** does the same amount of work
   (identical ``detection.slice.states`` accounting) -- the sqlite
   backend may not quietly change what the engines compute over.
@@ -36,7 +36,6 @@ from repro.detection import (
     possibly_exhaustive,
 )
 from repro.obs import METRICS
-from repro.slicing import definitely_parallel, possibly_parallel
 from repro.store import TraceStore
 from repro.trace.io import apply_stream_record, write_event_stream
 from repro.workloads import availability_predicate, random_deposet
@@ -134,8 +133,6 @@ def test_verdicts_and_accounting_identical(seed):
                         definitely(dep, pred, engine="slice"),
                         possibly_exhaustive(dep, pred),
                         definitely_exhaustive(dep, pred),
-                        possibly_parallel(dep, pred, chunk_states=2),
-                        definitely_parallel(dep, pred, chunk_states=2),
                         scope.counter("detection.slice.states"),
                     )
                 # the counter is read inside the scope on purpose: it

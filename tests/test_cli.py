@@ -64,6 +64,41 @@ def test_cli_detect_all(trace_file, capsys):
     assert "2 violating" in out
 
 
+def test_cli_detect_all_limit_counts_what_it_hides(trace_file, capsys):
+    assert main([
+        "detect", trace_file, "--predicate", "at-least-one:avail", "--all",
+        "--limit", "0",
+    ]) == 1
+    out = capsys.readouterr().out
+    assert "2 violating" in out and "... (2 more)" in out
+
+
+def test_cli_detect_rejects_negative_limit(trace_file, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["detect", trace_file, "--predicate", "at-least-one:avail",
+              "--all", "--limit", "-1"])
+    assert exc_info.value.code == 2
+    assert "--limit: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_cli_detect_slice_engine_footer(trace_file, capsys):
+    assert main([
+        "detect", trace_file, "--predicate", "at-least-one:avail",
+        "--engine", "slice",
+    ]) == 1
+    out = capsys.readouterr().out
+    assert "[detect] engine=slice slice states=" in out
+    assert "violation possible" in out
+
+
+def test_cli_detect_parallel_engine_is_gone(trace_file, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["detect", trace_file, "--predicate", "at-least-one:avail",
+              "--engine", "parallel"])
+    assert exc_info.value.code == 2
+    assert "invalid choice: 'parallel'" in capsys.readouterr().err
+
+
 def test_cli_control_and_recheck(trace_file, tmp_path, capsys):
     fixed = str(tmp_path / "fixed.json")
     assert main([
