@@ -3,7 +3,8 @@
 The detection engines must agree on verdicts while living in different
 complexity classes: the exhaustive walk touches a lattice exponential in
 processes, the slicing engine does polynomial work in *local* states
-(truth tables + candidate elimination + a box-pruned search).  This
+(truth tables + candidate elimination for *possibly*, the paper's
+Figure 2 on the negated conjunction for *definitely*).  This
 experiment records both engines' work on a common sweep and pins the gap:
 
 * identical possibly/definitely verdicts on every workload, all engines;

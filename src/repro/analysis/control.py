@@ -14,9 +14,9 @@ computation -- before any replay is attempted:
   state) or whose target is entered before anything can be waited for
   (initial state) can never be enforced by an online controller.
 * **C104** Lemma 2, re-derived statically: when a (disjunctive) predicate
-  is supplied, search the false-intervals for an overlapping set; if one
-  exists, *no* controller exists for this computation at all, and the
-  witness is that interval set.
+  is supplied, run the paper's Figure 2 (``O(n^2 p)``) on the underlying
+  computation; if it finds no controller, none exists at all, and the
+  witness is the overlapping set of false-intervals it stopped at.
 * **C106/C107** online-control assumptions: A1 (never block a process
   where its local predicate is false) judged at each arrow's blocking
   state, and A2 (local predicates hold in final states).
@@ -30,7 +30,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.raw import RawTrace
 from repro.analysis.sanitizer import find_event_cycle, valid_arrows
 from repro.causality.relations import CausalOrder
-from repro.errors import NotDisjunctiveError
+from repro.errors import NoControllerExistsError, NotDisjunctiveError
 from repro.predicates.base import Predicate
 from repro.predicates.disjunctive import as_disjunctive
 from repro.trace.deposet import Deposet
@@ -178,15 +178,15 @@ def analyze_control(
     except NotDisjunctiveError:
         return findings
 
-    from repro.core.overlap import find_overlapping_intervals
-    from repro.predicates.intervals import false_intervals
+    from repro.core.offline import control_disjunctive
 
-    interval_lists = false_intervals(dep, disjunctive)
-
-    # C104: Lemma 2.  An overlapping set of false-intervals (one per
-    # process) proves no controller exists for this computation.
-    witness = find_overlapping_intervals(dep, interval_lists)
-    if witness is not None:
+    # C104: Lemma 2.  Figure 2 failing proves no controller exists for
+    # this computation; its witness is an overlapping set of
+    # false-intervals, one per process.
+    try:
+        control_disjunctive(dep, disjunctive)
+    except NoControllerExistsError as exc:
+        witness = exc.witness
         states = []
         for iv in witness:
             states.extend([(iv.proc, iv.lo), (iv.proc, iv.hi)])

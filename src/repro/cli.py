@@ -533,7 +533,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                     ) from exc
                 sess = DetectionSession(
                     "local", label, header, args.predicate,
-                    engine=args.engine, lint=getattr(args, "lint", False),
+                    lint=getattr(args, "lint", False),
                     store_target=getattr(args, "store", None), label=label,
                 )
                 emit(sess.open_events())
@@ -566,6 +566,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         else:
             print(f"final: violation possible at {result.witness}"
                   + (" and DEFINITELY occurs" if result.definitely else ""))
+            if result.obstruction is not None:
+                print("  no controller exists: false-intervals "
+                      + ", ".join(repr(iv) for iv in result.obstruction)
+                      + " overlap (Lemma 2)")
     if args.verify:
         batch = possibly_bad(store.snapshot(), sess.pred)
         if batch != result.witness:
@@ -639,7 +643,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         tcp=tcp, unix=unix, workers=args.workers, policy=args.policy,
         quota=default_quota, tenant_quotas=tenant_quotas,
-        batch=args.batch, engine=args.engine,
+        batch=args.batch,
         drain_timeout=args.drain_timeout,
         durable_dir=args.durable, fsync=args.fsync, store_dir=store_dir,
         lint=args.lint,
@@ -1083,9 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("trace", help="a repro-events/1 stream")
     p.add_argument("--predicate", required=True)
-    p.add_argument("--engine", choices=["auto", "exhaustive", "slice"],
-                   default="auto", help="batch engine for the final "
-                                        "'definitely' upgrade")
     p.add_argument("--verify", action="store_true",
                    help="cross-check the streamed verdict against the batch "
                         "conjunctive detector on the final prefix")
@@ -1119,8 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable; 0 store states = unlimited)")
     p.add_argument("--batch", type=int, default=64,
                    help="stream lines per worker batch")
-    p.add_argument("--engine", choices=["auto", "exhaustive", "slice"],
-                   default="auto", help="batch engine for final 'definitely'")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="seconds to wait for final verdicts at shutdown")
     p.add_argument("--durable", metavar="DIR",

@@ -5,11 +5,10 @@ One front door over the two detection implementations:
 * ``exhaustive`` -- the lattice walkers in
   :mod:`repro.detection.lattice_walk`: ground truth, any predicate,
   exponential in processes;
-* ``slice`` -- the polynomial slicing engine in
-  :mod:`repro.slicing.detect`: regular predicates only
-  (``pred.is_regular()``).  Its truth tables are one vectorised numpy
-  pass per process for compiled conjuncts, so there is no separate
-  multi-worker engine;
+* ``slice`` -- the polynomial engine in :mod:`repro.slicing.detect`:
+  regular predicates only (``pred.is_regular()``).  ``possibly`` reads
+  the computation slice; ``definitely`` runs the paper's Figure 2 on the
+  negated conjunction;
 * ``auto`` (default) -- routed through the static predicate classifier
   (:func:`repro.analysis.classifier.classify`): ``slice`` when the
   derived class is regular, else ``exhaustive``.  The classifier reuses
@@ -75,7 +74,9 @@ def possibly(dep: Deposet, pred: Predicate, engine: str = "auto") -> Optional[Cu
 def definitely(dep: Deposet, pred: Predicate, engine: str = "auto") -> bool:
     """Does every global sequence pass through a cut satisfying ``pred``?
 
-    Subset-move semantics in every engine; verdicts are identical.
+    Single-move semantics in every engine (one process advances per
+    step); verdicts are identical.  ``definitely(dep, B.negated())`` for
+    a disjunctive ``B`` is therefore "no controller for ``B`` exists".
     """
     if _resolve(pred, engine) == "exhaustive":
         from repro.detection.lattice_walk import definitely_exhaustive

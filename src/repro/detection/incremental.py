@@ -28,7 +28,9 @@ Why this is sound incrementally:
 The witness returned is the *least* violating cut, identical to the one
 :func:`possibly_bad` computes on a snapshot of the same prefix (the set
 of consistent violating cuts is a lattice; its bottom is unique), which
-is what ``repro watch --verify`` checks.
+is what ``repro watch --verify`` checks.  At end of stream
+:meth:`IncrementalDetector.finalize` adds *definitely* from the paper's
+Figure 2, which is polynomial, so every final verdict carries it.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
 
+from repro.core.offline import control_disjunctive
+from repro.errors import NoControllerExistsError
 from repro.obs.metrics import METRICS
 from repro.predicates.base import Predicate
 from repro.predicates.disjunctive import DisjunctivePredicate, as_disjunctive
+from repro.predicates.intervals import FalseInterval
 from repro.store.trace_store import TraceStore
 
 __all__ = ["IncrementalDetector", "WatchResult"]
@@ -58,14 +63,17 @@ class WatchResult:
     ``witness`` is the least consistent cut violating the predicate
     (``None``: the predicate holds in every consistent global state of
     the final prefix).  ``definitely`` answers the stronger question --
-    does *every* execution pass through a violating state -- via the
-    batch engines on a snapshot; ``pending`` lists processes that never
-    produced a false state (their disjunct "saves" the predicate).
+    does *every* execution pass through a violating state, i.e. does no
+    controller exist -- and ``obstruction`` then holds the Lemma 2
+    overlapping set of false-intervals, one per process, that proves it.
+    ``pending`` lists processes that never produced a false state (their
+    disjunct "saves" the predicate).
     """
 
     witness: Optional[Cut]
-    definitely: Optional[bool] = None
+    definitely: bool = False
     pending: Tuple[int, ...] = field(default=())
+    obstruction: Optional[Tuple[FalseInterval, ...]] = None
 
 
 class IncrementalDetector:
@@ -256,27 +264,23 @@ class IncrementalDetector:
 
     # -- finalisation --------------------------------------------------------
 
-    def finalize(
-        self, engine: str = "auto", *, with_definitely: bool = True
-    ) -> WatchResult:
-        """The end-of-stream verdict, upgraded with batch *definitely*.
+    def finalize(self) -> WatchResult:
+        """The end-of-stream verdict, upgraded with *definitely*.
 
-        Takes a snapshot of the store and runs the batch engine for the
-        *definitely* modality (the incremental loop answers *possibly*
-        only); the ``witness`` field is this detector's own final poll.
-        ``with_definitely=False`` skips the batch snapshot pass entirely
-        (``definitely`` comes back ``None``) -- the serving layer uses
-        this for sessions whose stores grew past the cheap-finalize size.
+        The incremental loop answers *possibly* only; ``witness`` is this
+        detector's own final poll.  When a violation is possible, the
+        paper's Figure 2 (:func:`~repro.core.offline.control_disjunctive`,
+        ``O(n^2 p)``) runs on a snapshot: failing to find a controller
+        means every single-move execution passes through a violating
+        state (``definitely``), and its witness is the ``obstruction``.
         """
-        from repro.detection.engine import definitely
-
         witness = self.poll()
         pending = self.pending_procs
-        df: Optional[bool] = False
-        if witness is not None:
-            if with_definitely:
-                dep = self._store.snapshot()
-                df = definitely(dep, self._pred.negated(), engine=engine)
-            else:
-                df = None
-        return WatchResult(witness=witness, definitely=df, pending=pending)
+        if witness is None:
+            return WatchResult(witness=None, pending=pending)
+        try:
+            control_disjunctive(self._store.snapshot(), self._pred)
+        except NoControllerExistsError as exc:
+            return WatchResult(witness=witness, definitely=True,
+                               pending=pending, obstruction=exc.witness)
+        return WatchResult(witness=witness, pending=pending)

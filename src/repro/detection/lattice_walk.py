@@ -5,8 +5,11 @@ Ground truth for small traces; exponential in general (that is Lemma 1).
 * ``possibly(pred)``  -- some consistent cut satisfies ``pred``;
 * ``definitely(pred)`` -- every global sequence passes through a cut
   satisfying ``pred``, i.e. there is **no** global sequence all of whose
-  cuts satisfy ``not pred``.  Global sequences may advance several
-  processes at once, so this is evaluated with subset moves.
+  cuts satisfy ``not pred``.  Sequences advance one process per step
+  (single moves): the sequences a controller can enforce, so
+  ``definitely(not B)`` holds exactly when no controller for ``B``
+  exists.  The paper's subset-move notion stays in
+  :func:`repro.detection.sgsd.sgsd` (``moves="subset"``).
 
 Counter contract (pinned by ``tests/detection/test_walk_counters.py``):
 
@@ -74,7 +77,7 @@ def possibly_exhaustive(dep: Deposet, pred: Predicate) -> Optional[Cut]:
 
 
 def definitely_exhaustive(dep: Deposet, pred: Predicate) -> bool:
-    """Does every global sequence hit a cut satisfying ``pred``?"""
+    """Does every single-move global sequence hit a cut satisfying ``pred``?"""
     lat = CutLattice(dep)
     _LATTICE_WALKS.inc()
     trace_on = TRACER.enabled
@@ -94,7 +97,7 @@ def definitely_exhaustive(dep: Deposet, pred: Predicate) -> bool:
         return value
 
     try:
-        return not lat.exists_satisfying_sequence(avoids)
+        return not lat.exists_satisfying_sequence(avoids, moves="single")
     finally:
         if seen:
             _LATTICE_STATES.inc(len(seen))

@@ -22,10 +22,10 @@ where ``seq`` is the number of stream records applied when it fired):
     ``"withdrawn"`` (a late arrow ordered the previous witness away).
 ``final``
     End of stream: the last word on the session.  ``witness`` is the
-    final least violating cut or ``null``; ``definitely`` upgrades it
-    with the batch *definitely* modality when computed; ``pending`` lists
-    processes whose disjunct never went false; ``degraded`` is true when
-    backpressure shed records (the verdict covers only the applied
+    final least violating cut or ``null``; ``definitely`` (a boolean)
+    says no controller exists, so every execution violates; ``pending``
+    lists processes whose disjunct never went false; ``degraded`` is true
+    when backpressure shed records (the verdict covers only the applied
     prefix).
 ``shed``
     The slow-consumer policy dropped ``dropped`` records (tail-shedding:

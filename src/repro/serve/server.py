@@ -112,10 +112,6 @@ class ServeConfig:
     tenant_opts: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: lines per worker batch (flush threshold)
     batch: int = 64
-    #: batch engine for the final *definitely* upgrade
-    engine: str = "auto"
-    #: skip the batch *definitely* pass for stores above this many states
-    definitely_limit: int = 50_000
     #: seconds to wait for final verdicts during drain
     drain_timeout: float = 30.0
     #: durability root directory; ``None`` = in-memory serving (PR 6 shape)
@@ -477,7 +473,6 @@ class ReproServer:
 
     def _session_opts(self, tenant: str) -> Dict[str, Any]:
         opts = dict(self.config.tenant_opts.get(tenant, ()))
-        opts.setdefault("engine", self.config.engine)
         opts.setdefault("max_store_states",
                         self.registry.quota(tenant).max_store_states)
         opts.setdefault("lint", self.config.lint)
@@ -541,13 +536,7 @@ class ReproServer:
 
     def _finalize(self, key: str, entry: _Entry) -> None:
         entry.finalizing = True
-        state = entry.state
-        quota_states = state.quota.max_store_states
-        with_definitely = (
-            quota_states == 0 or quota_states <= self.config.definitely_limit
-        )
-        self.pool.finalize(key, shed=state.shed,
-                           with_definitely=with_definitely)
+        self.pool.finalize(key, shed=entry.state.shed)
 
     def _close_entry(self, key: str, entry: _Entry, *,
                      destroy_durable: bool = True) -> None:

@@ -119,7 +119,6 @@ class DetectionSession:
         *,
         max_store_states: int = 0,
         delay_per_record: float = 0.0,
-        engine: str = "auto",
         store_target: Optional[str] = None,
         lint: bool = False,
         label: Optional[str] = None,
@@ -137,7 +136,6 @@ class DetectionSession:
         self.pred = parse_predicate(predicate, self.store.n)
         self.detector = IncrementalDetector(self.store, self.pred)
         self.tracker = VerdictTracker(tenant, session)
-        self.engine = engine
         self.max_store_states = int(max_store_states)
         self.delay_per_record = float(delay_per_record)
         #: stream records applied so far (header excluded)
@@ -247,8 +245,7 @@ class DetectionSession:
 
     # -- finalisation --------------------------------------------------------
 
-    def finalize(self, *, shed: int = 0,
-                 with_definitely: bool = True) -> List[Dict[str, Any]]:
+    def finalize(self, *, shed: int = 0) -> List[Dict[str, Any]]:
         """End of stream: the final verdict event (plus a shed marker).
 
         ``shed`` is how many records backpressure dropped before the end
@@ -263,9 +260,7 @@ class DetectionSession:
         if shed:
             events.append(event_shed(self.tenant, self.session, self.seq, shed))
         events.extend(self._lint_finalize())
-        self.result = self.detector.finalize(
-            engine=self.engine, with_definitely=with_definitely
-        )
+        self.result = self.detector.finalize()
         events.append(
             self.tracker.finalized(self.seq, self.result, degraded=bool(shed))
         )
@@ -368,7 +363,6 @@ class DetectionSession:
         *,
         max_store_states: int = 0,
         delay_per_record: float = 0.0,
-        engine: str = "auto",
         lint: bool = False,
     ) -> "DetectionSession":
         """Rebuild a session from a :meth:`snapshot`; feeding the stream
@@ -380,8 +374,7 @@ class DetectionSession:
         # existing chain from the checkpoint's store_ref below.
         sess = cls(tenant, session, header, predicate,
                    max_store_states=max_store_states,
-                   delay_per_record=delay_per_record, engine=engine,
-                   lint=lint)
+                   delay_per_record=delay_per_record, lint=lint)
         blob = snap["store"]
         if isinstance(blob, dict) and "store_ref" in blob:
             from repro.storage import open_backend

@@ -68,7 +68,6 @@ def shard_of(key: str, shards: int) -> int:
 def _session_kwargs(opts: Dict[str, Any]) -> Dict[str, Any]:
     return dict(max_store_states=opts.get("max_store_states", 0),
                 delay_per_record=opts.get("delay_per_record", 0.0),
-                engine=opts.get("engine", "auto"),
                 lint=opts.get("lint", False))
 
 
@@ -115,13 +114,12 @@ def _feed_session(sessions: Dict[str, DetectionSession], key: str,
 
 
 def _finalize_session(sessions: Dict[str, DetectionSession], key: str,
-                      shed: int, with_definitely: bool
-                      ) -> List[Dict[str, Any]]:
+                      shed: int) -> List[Dict[str, Any]]:
     sess = sessions.pop(key, None)
     if sess is None:
         return []
     try:
-        return sess.finalize(shed=shed, with_definitely=with_definitely)
+        return sess.finalize(shed=shed)
     except Exception as exc:
         return [event_error(sess.tenant, sess.session, sess.seq,
                             "internal", repr(exc))]
@@ -232,8 +230,7 @@ class DetectorPool:
              base_lineno: Optional[int] = None) -> None:
         raise NotImplementedError
 
-    def finalize(self, key: str, *, shed: int = 0,
-                 with_definitely: bool = True) -> None:
+    def finalize(self, key: str, *, shed: int = 0) -> None:
         raise NotImplementedError
 
     def close_session(self, key: str) -> None:
@@ -290,9 +287,8 @@ class InlinePool(DetectorPool):
     def feed(self, key, lines, base_lineno=None) -> None:
         self._sink(key, _feed_session(self._sessions, key, lines, base_lineno))
 
-    def finalize(self, key, *, shed=0, with_definitely=True) -> None:
-        self._sink(key, _finalize_session(self._sessions, key, shed,
-                                          with_definitely))
+    def finalize(self, key, *, shed=0) -> None:
+        self._sink(key, _finalize_session(self._sessions, key, shed))
 
     def close_session(self, key) -> None:
         sess = self._sessions.pop(key, None)
@@ -312,6 +308,12 @@ class InlinePool(DetectorPool):
 def _worker_main(idx: int, in_q: "multiprocessing.Queue",
                  out_q: "multiprocessing.Queue") -> None:
     """One shard: drain commands, advance pinned sessions, emit events."""
+    # A worker forked after the server installed its asyncio signal
+    # handlers inherits the loop's wakeup fd and handler table: without
+    # this reset, SIGTERM from ``terminate()`` would not kill the worker
+    # and would instead reach the parent's loop as its own SIGTERM.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns shutdown
     sessions: Dict[str, DetectionSession] = {}
     while True:
@@ -333,9 +335,8 @@ def _worker_main(idx: int, in_q: "multiprocessing.Queue",
                 out_q.put((key, _feed_session(sessions, key, lines,
                                               base_lineno)))
             elif op == "finalize":
-                _, key, shed, with_definitely = msg
-                out_q.put((key, _finalize_session(sessions, key, shed,
-                                                  with_definitely)))
+                _, key, shed = msg
+                out_q.put((key, _finalize_session(sessions, key, shed)))
             elif op == "checkpoint":
                 _, key, upto = msg
                 out_q.put((key, _checkpoint_session(sessions, key, upto)))
@@ -451,10 +452,8 @@ class ProcessPool(DetectorPool):
     def feed(self, key, lines, base_lineno=None) -> None:
         self._in_qs[self.shard_of(key)].put(("feed", key, lines, base_lineno))
 
-    def finalize(self, key, *, shed=0, with_definitely=True) -> None:
-        self._in_qs[self.shard_of(key)].put(
-            ("finalize", key, shed, with_definitely)
-        )
+    def finalize(self, key, *, shed=0) -> None:
+        self._in_qs[self.shard_of(key)].put(("finalize", key, shed))
 
     def close_session(self, key) -> None:
         self._in_qs[self.shard_of(key)].put(("close", key))

@@ -1,4 +1,4 @@
-"""Polynomial possibly/definitely detection via computation slicing.
+"""Polynomial possibly/definitely detection for regular predicates.
 
 Drop-in counterparts of the exhaustive walkers in
 :mod:`repro.detection.lattice_walk`, for predicates that normalise into the
@@ -10,28 +10,22 @@ back.
 * :func:`possibly_slice` -- the least satisfying cut, straight from the
   slice's candidate elimination.  No lattice enumeration at all.
 * :func:`definitely_slice` -- "every global sequence hits a satisfying
-  cut", i.e. **no** subset-move path ``bottom -> top`` through
-  non-satisfying cuts.  The search is pruned with the slice's extreme cuts
-  ``W`` (least) and ``M`` (greatest):
-
-  - every cut with some component ``> M_i`` is non-satisfying (``M`` upper-
-    bounds all satisfying cuts) **and** can reach ``top`` through such cuts
-    only: joining it with the consistent cuts of any event linearisation
-    yields a single-move path to ``top`` that never leaves the zone (joins
-    of consistent cuts are consistent, and components never decrease).  So
-    the DFS stops with a verdict the moment it crosses above ``M`` --
-    searching only the ``[bottom, M]`` box instead of the whole lattice;
-  - trivially, if ``bottom`` or ``top`` satisfies, every sequence does.
+  cut", with single-move sequences (one process advances per step, the
+  sequences a controller can enforce).  For ``B = c_1 and ... and c_k``
+  that holds exactly when no controller exists for the disjunctive
+  ``not B = not c_1 or ... or not c_k``, so the paper's Figure 2
+  (:func:`~repro.core.offline.control_disjunctive`, ``O(n^2 p)``)
+  decides it: ``NoControllerExistsError`` means *definitely*.
 
 Metrics (all under ``detection.slice.*``):
 
 * ``walks``      -- +1 per public call, mirroring ``detection.lattice_walks``;
 * ``states``     -- work units: one per *local* state whose conjunct was
-  **actually evaluated** (truth-table build: unconstrained processes and
-  the constant-false short-circuit contribute nothing) plus one per
-  *global* cut the search materialised (see :func:`_table_states`;
-  contract pinned in ``tests/detection/test_walk_counters.py``).
-  Comparable against
+  **actually evaluated** (truth tables for ``possibly``, false-intervals
+  for ``definitely``: unconstrained processes and the constant-false
+  short-circuit contribute nothing, see :func:`_table_states`) plus one
+  for a ``possibly`` witness (contract pinned in
+  ``tests/detection/test_walk_counters.py``).  Comparable against
   ``detection.lattice_states`` -- both count predicate-evaluation work --
   which is the E14 ratio;
 * ``fallbacks``  -- +1 per :class:`NotRegularError` raised.
@@ -41,14 +35,17 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.verify import definitely_violated
 from repro.errors import NotRegularError
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.predicates.base import Predicate
+from repro.predicates.boolean import Not
+from repro.predicates.disjunctive import DisjunctivePredicate, fold_local
 from repro.slicing.regular import RegularForm, regular_form
 from repro.slicing.slice import ComputationSlice, compute_slice
 from repro.trace.deposet import Deposet
-from repro.trace.global_state import Cut, CutLattice, final_cut, initial_cut
+from repro.trace.global_state import Cut
 
 __all__ = ["possibly_slice", "definitely_slice", "slice_of"]
 
@@ -112,60 +109,22 @@ def possibly_slice(dep: Deposet, pred: Predicate) -> Optional[Cut]:
 
 
 def definitely_slice(dep: Deposet, pred: Predicate) -> bool:
-    """Does every global sequence hit a cut satisfying ``pred``?
+    """Does every single-move global sequence hit a cut satisfying ``pred``?
 
-    Subset-move semantics, identical to ``definitely_exhaustive``; the
-    search space is pruned to the ``[bottom, greatest-satisfying-cut]``
-    box (see module docstring for the zone argument).
+    Same verdict as ``definitely_exhaustive``.  Runs Figure 2 on the
+    negated conjunction: ``pred`` is definite exactly when no controller
+    exists for ``not pred`` (see module docstring).
     """
     _SLICE_WALKS.inc()
     with TRACER.span("slice.definitely", states=dep.num_states):
-        sl = slice_of(dep, pred)
-        return _definitely_from_slice(sl)
-
-
-def _definitely_from_slice(sl: ComputationSlice) -> bool:
-    dep = sl.dep
-    bottom = initial_cut(dep)
-    top = final_cut(dep)
-    trace_on = TRACER.enabled
-
-    if sl.empty:
-        # No satisfying cut anywhere: no sequence can hit one.
-        return False
-    if sl.in_tables(bottom) or sl.in_tables(top):
-        # Every global sequence contains bottom and top.
-        _SLICE_STATES.inc(2)
-        return True
-
-    M = sl.greatest
-    assert M is not None
-    lat = CutLattice(dep)
-    n = dep.n
-
-    # Memoised DFS from bottom over non-satisfying consistent cuts.  A cut
-    # strictly above M in some component is an escape: from there, top is
-    # reachable through non-satisfying cuts only (zone argument), so an
-    # avoiding sequence exists and the verdict is False.
-    visited = {bottom}
-    stack = [bottom]
-    verdict = True
-    while stack:
-        cut = stack.pop()
-        if trace_on:
-            TRACER.event("slice.expand", cut=list(cut))
-        if cut == top or any(c > M[i] for i, c in enumerate(cut)):
-            verdict = False
-            break
-        fresh = [nxt for nxt in lat.subset_successors(cut) if nxt not in visited]
-        if not fresh:
-            continue
-        visited.update(fresh)
-        satisfied = sl.in_tables_many(fresh)
-        for nxt, sat in zip(fresh, satisfied):
-            if not sat:
-                stack.append(nxt)
-            elif trace_on:
-                TRACER.event("slice.blocked", cut=list(nxt))
-    _SLICE_STATES.inc(len(visited))
-    return verdict
+        form = _require_regular(pred)
+        form.validate_for(dep)
+        if form.constants_false(dep):
+            return False  # no cut satisfies, so no sequence hits one
+        if not form.conjuncts:
+            return True  # constant true: bottom already satisfies
+        _SLICE_STATES.inc(_table_states(form, dep))
+        avoid = DisjunctivePredicate(
+            [fold_local(Not(c)) for c in form.conjuncts.values()], n=dep.n
+        )
+        return definitely_violated(dep, avoid)

@@ -134,28 +134,6 @@ class ComputationSlice:
         """True when no consistent cut satisfies the predicate."""
         return self.least is None
 
-    def in_tables(self, cut: Sequence[int]) -> bool:
-        """Componentwise truth-table membership (consistency NOT checked)."""
-        return all(bool(t[c]) for t, c in zip(self.tables, cut))
-
-    def in_tables_many(self, cuts: Sequence[Sequence[int]]) -> np.ndarray:
-        """Vectorised :meth:`in_tables` over a batch of cuts.
-
-        ``cuts`` is an ``(k, n)`` array-like of state indices; returns a
-        length-``k`` boolean array.  One fancy-indexing pass per process
-        instead of ``k * n`` scalar lookups -- this is the membership
-        kernel the definitely-detection frontier walk batches through.
-        """
-        arr = np.asarray(cuts, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != len(self.tables):
-            raise ValueError(
-                f"cuts must have shape (k, {len(self.tables)}), got {arr.shape}"
-            )
-        out = np.ones(arr.shape[0], dtype=bool)
-        for i, t in enumerate(self.tables):
-            out &= t[arr[:, i]]
-        return out
-
     # -- added-edge representation -----------------------------------------
 
     def skip_arrows(self) -> List[Tuple[StateRef, StateRef]]:

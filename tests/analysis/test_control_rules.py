@@ -1,9 +1,20 @@
 """The control-relation analyzer: C101--C107."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis.control import analyze_control
 from repro.analysis.findings import Report
 from repro.analysis.runner import _underlying_deposet
 from repro.cli import parse_predicate
+from repro.core import find_overlapping_intervals, overlap
+from repro.predicates import FalseInterval, false_intervals
+from repro.trace.io import deposet_to_dict
+from repro.workloads import (
+    availability_predicate,
+    random_deposet,
+    random_server_trace,
+)
 
 from .conftest import parse_clean
 
@@ -96,6 +107,32 @@ def test_c104_absent_when_controllable(chain_dict):
             st["up"] = (a + i) % 2 == 0
     pred = parse_predicate("at-least-one:up", 3)
     assert "C104" not in ids(run(chain_dict, predicate=pred))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["random", "server"]),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=50_000),
+)
+def test_c104_matches_brute_force_overlap_search(kind, n, seed):
+    # C104 comes from Figure 2 in O(n^2 p); the brute-force product over
+    # one false-interval per process is the ground truth it must match.
+    if kind == "random":
+        dep = random_deposet(n=n, events_per_proc=5, message_rate=0.4,
+                             flip_rate=0.4, var="avail", seed=seed)
+    else:
+        dep = random_server_trace(n=n, outages_per_server=2, down_run=5,
+                                  message_rate=0.6, seed=seed)
+    pred = availability_predicate(n)
+    brute = find_overlapping_intervals(dep, false_intervals(dep, pred))
+    found = run(deposet_to_dict(dep), predicate=pred)
+    c104 = [f for f in found if f.rule_id == "C104"]
+    assert len(c104) == (brute is not None)
+    if c104:
+        witness = [FalseInterval(iv["proc"], iv["lo"], iv["hi"])
+                   for iv in c104[0].data["intervals"]]
+        assert overlap(dep, witness)
 
 
 def test_c106_blocks_where_local_predicate_false(chain_dict):

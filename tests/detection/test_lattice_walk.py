@@ -5,6 +5,7 @@ from repro.detection import (
     possibly_exhaustive,
     violating_cuts,
 )
+from repro.detection.sgsd import sgsd
 from repro.predicates import And, LocalPredicate, Not, Or
 from repro.trace import ComputationBuilder
 
@@ -51,8 +52,9 @@ def test_definitely_false_when_avoidable():
 
 
 def test_definitely_with_corner_cutting():
-    # predicate true only at the two mixed corners of a 1x1 grid: a
-    # diagonal (simultaneous) step avoids both, so not definite
+    # predicate true only at the two mixed corners of a 1x1 grid: every
+    # single-move sequence passes a corner, so it is definite; only the
+    # paper's subset moves can take the diagonal (simultaneous) step
     b = ComputationBuilder(2)
     b.local(0)
     b.local(1)
@@ -62,7 +64,9 @@ def test_definitely_with_corner_cutting():
         And(LocalPredicate.before(0, 1), LocalPredicate.at_or_after(1, 1)),
     )
     assert possibly_exhaustive(dep, corner) is not None
-    assert not definitely_exhaustive(dep, corner)
+    assert definitely_exhaustive(dep, corner)
+    escape = sgsd(dep, Not(corner), moves="subset")
+    assert escape == [(0, 0), (1, 1)]
 
 
 def test_violating_cuts_ordering_and_content():

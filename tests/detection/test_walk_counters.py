@@ -131,12 +131,13 @@ def test_enabled_tracing_emits_expand_events():
     assert len(events) == 5  # matches the states counter
 
 
-# -- detection.slice.states work accounting (PR 8 contract) ------------------
+# -- detection.slice.states work accounting -----------------------------------
 #
 # One unit per *local* state whose conjunct was actually evaluated, plus one
-# per *global* cut the search materialised.  Unconstrained processes charge
-# nothing (their row is a single np.ones), and a constant-false
-# short-circuit charges nothing (no tables are built).
+# for a possibly witness.  Unconstrained processes charge nothing (their row
+# is a single np.ones), and a constant-false short-circuit charges nothing
+# (no tables are built).  definitely runs Figure 2, which materialises no
+# global cut: its units are exactly the local states it evaluates.
 
 
 def test_slice_states_counts_only_constrained_processes():
@@ -156,4 +157,30 @@ def test_slice_states_zero_on_constant_false_short_circuit():
     dep = grid_2x3()
     with METRICS.scoped() as scope:
         assert possibly_slice(dep, And(FALSE, at_state(0, 1))) is None
+    assert scope.counter("detection.slice.states") == 0
+
+
+def counting_at_state(i, k, calls):
+    """``at_state`` that records every evaluation in ``calls``."""
+
+    def fn(s):
+        calls.append((i, s.index))
+        return s.vars["x"] == k
+
+    return LocalPredicate(i, fn, name=f"x{i}={k}")
+
+
+def test_definitely_slice_states_count_figure2_local_states():
+    dep = grid_2x3()
+    calls = []
+    one = counting_at_state(0, 1, calls)
+    both = And(counting_at_state(0, 1, calls), counting_at_state(1, 1, calls))
+    for pred, verdict in ((one, True), (both, False)):
+        calls.clear()
+        with METRICS.scoped() as scope:
+            assert definitely_slice(dep, pred) is verdict
+        assert len(calls) == len(set(calls)), "local state evaluated twice"
+        assert scope.counter("detection.slice.states") == len(calls)
+    with METRICS.scoped() as scope:
+        assert definitely_slice(dep, And(FALSE, at_state(0, 1))) is False
     assert scope.counter("detection.slice.states") == 0

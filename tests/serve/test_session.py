@@ -1,7 +1,17 @@
 """DetectionSession == batch detection on the same stream (the oracle)."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+from repro.core import overlap
+from repro.obs import METRICS
+from repro.predicates import false_intervals
 from repro.serve.session import DetectionSession, session_key
 
 from .conftest import PREDICATE, batch_verdict, make_stream
@@ -85,13 +95,66 @@ def test_shed_finalize_is_degraded_with_marker():
     assert events[1]["degraded"] is True
 
 
-def test_finalize_without_definitely_leaves_it_null():
-    dep, header, lines = make_stream(7)  # seed 7 has a witness (smoke run)
-    sess = DetectionSession("t", "s", header, PREDICATE)
-    sess.feed(list(lines))
-    final = sess.finalize(with_definitely=False)[-1]
-    if final["witness"] is not None:
-        assert final["definitely"] is None
+def test_finalize_always_decides_definitely():
+    # Figure 2 decides *definitely* in O(n^2 p), so there is no size cut-off
+    # any more: the final verdict carries a boolean on every stream, and
+    # the old skip switch is gone from the API.
+    for seed in (0, 7, 23, 101):
+        dep, header, lines = make_stream(seed)
+        sess = DetectionSession("t", "s", header, PREDICATE)
+        sess.feed(list(lines))
+        final = sess.finalize()[-1]
+        assert final["definitely"] is batch_verdict(dep)[1]
+    with pytest.raises(TypeError):
+        DetectionSession("t", "s", header, PREDICATE).finalize(
+            with_definitely=False)
+
+
+#: perfbench ``corpus.serve_corpus(7, 294)`` stream ``s196``: 4 processes,
+#: 133 records, infeasible.  The exponential slice search used to spend
+#: about 13 s deciding *definitely* on it.
+S196 = Path(__file__).parent.parent / "fixtures" / "serve_seed7_s196.jsonl"
+
+
+def test_infeasible_four_process_stream_finalizes_in_polynomial_work():
+    lines = S196.read_text().splitlines()
+    sess = DetectionSession("t", "s196", json.loads(lines[0]), PREDICATE)
+    sess.feed(lines[1:], base_lineno=2)
+    with METRICS.scoped() as scope:
+        final = sess.finalize()[-1]
+    assert final["witness"] == [10, 11, 17, 6]
+    assert final["definitely"] is True
+    dep = sess.store.snapshot()
+    assert overlap(dep, sess.result.obstruction)
+    # Figure 2's work bound: O(n^2) pair checks per crossed interval
+    n = dep.n
+    intervals = sum(len(ivs) for ivs in false_intervals(dep, sess.pred))
+    checks = scope.counter("offline.pair_checks")
+    assert 0 < checks <= 2 * n * n * (1 + intervals)
+
+
+def test_finalize_loads_neither_slicing_nor_the_classifier():
+    # The first finalize in a fresh server must not pay for importing the
+    # batch detection engines: Figure 2 lives in core.offline, which the
+    # session already has loaded.
+    code = textwrap.dedent("""
+        import json, sys
+        from repro.serve.session import DetectionSession
+        lines = open(sys.argv[1]).read().splitlines()
+        sess = DetectionSession("t", "s", json.loads(lines[0]),
+                                "at-least-one:up")
+        sess.feed(lines[1:])
+        assert sess.finalize()[-1]["definitely"] is True
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith(
+            ("repro.slicing", "repro.analysis.classifier")))))
+    """)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code, str(S196)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
 
 
 def test_session_key_is_the_routing_key():

@@ -1,17 +1,15 @@
 """Property suite: the vectorised numpy kernels agree with pure Python.
 
-PR 8 replaced the slicing engine's inner loops -- candidate elimination
-(least and greatest sweeps), truth-table construction, and table
-membership -- with batched numpy kernels.  This suite pins them against
-straight-line pure-Python references on random deposets with and without
-control arrows:
+The slicing engine's inner loops -- candidate elimination (least and
+greatest sweeps) and truth-table construction -- are batched numpy
+kernels.  This suite pins them against straight-line pure-Python
+references on random deposets with and without control arrows:
 
 * the batched least/greatest sweeps vs the original one-comparison-at-a-
   time deque walks (kept verbatim below as references);
 * ``Expr.eval_block`` vs ``Expr.eval_state`` vs the constructor lambda,
   including missing keys, ``None`` values, and mixed-type columns (the
-  columnar packing exactness contract);
-* ``in_tables_many`` vs scalar ``in_tables``.
+  columnar packing exactness contract).
 """
 
 import random
@@ -36,7 +34,6 @@ from repro.predicates.expr import (
     VarEquals,
     VarTruthy,
 )
-from repro.slicing import slice_of
 from repro.slicing.regular import regular_form
 from repro.slicing.slice import greatest_satisfying_cut
 from repro.store.columns import pack_block, pack_values
@@ -219,20 +216,6 @@ def test_vectorised_tables_match_lambda_evaluation(seed):
     for i, local in form.conjuncts.items():
         expected = [local.holds_at(dep, a) for a in range(dep.state_counts[i])]
         assert tables[i].tolist() == expected
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=50_000))
-def test_in_tables_many_matches_scalar(seed):
-    dep = small_dep(seed)
-    sl = slice_of(dep, bad())
-    rng = np.random.default_rng(seed + 9)
-    cuts = [
-        tuple(int(rng.integers(0, m)) for m in dep.state_counts)
-        for _ in range(8)
-    ]
-    got = sl.in_tables_many(cuts)
-    assert got.tolist() == [sl.in_tables(c) for c in cuts]
 
 
 # -- expression IR: eval_block == eval_state == lambda -----------------------

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +175,28 @@ def test_cli_watch_detects_violation(trace_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "violation possible" in out
     assert "batch detector agrees" in out
+
+
+S196 = Path(__file__).parent / "fixtures" / "serve_seed7_s196.jsonl"
+
+
+def test_cli_watch_prints_the_obstruction_of_a_definite_violation(capsys):
+    assert main(["watch", str(S196), "--predicate", "at-least-one:up"]) == 1
+    out = capsys.readouterr().out
+    assert "DEFINITELY occurs" in out
+    assert ("no controller exists: false-intervals I[0: 18..34], "
+            "I[1: 11..37], I[2: 23..27], I[3: 25..34] overlap") in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["watch", str(S196), "--predicate", "at-least-one:up"],
+    ["serve", "--listen", "unix:unused.sock"],
+])
+def test_cli_watch_and_serve_engine_flag_is_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv + ["--engine", "slice"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --engine slice" in capsys.readouterr().err
 
 
 def test_cli_watch_controlled_trace_holds(trace_file, tmp_path, capsys):
