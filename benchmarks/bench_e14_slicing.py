@@ -63,6 +63,10 @@ def detect_with(engine, dep, pred):
 def test_e14_slice_vs_exhaustive_scaling(benchmark):
     def run():
         sweep = Sweep("E14: slice vs exhaustive (possibly+definitely per row)")
+        # one untimed pass per engine first: each row is timed once, so
+        # row 1 would otherwise time the engines' first imports
+        for engine in ENGINES:
+            detect_with(engine, *workload(*SIZES[0]))
         for n, events in SIZES:
             dep, pred = workload(n, events)
             per_engine = {e: detect_with(e, dep, pred) for e in ENGINES}

@@ -16,7 +16,12 @@ everything the robustness layer exists for, at once, to one session:
   undisturbed in-process session produces -- byte-identical framing, no
   gaps, no duplicates;
 * SIGINTs the server and requires a clean bounded drain (exit 0,
-  "drained" on stderr) with no WAL/checkpoint residue left on disk.
+  "drained" on stderr) with no WAL/checkpoint residue left on disk;
+* then SIGKILLs a whole second server (its process group, workers
+  included) after it has acked records as ``_durable``, restarts it on
+  the same ``--durable`` directory, and requires the restarted server's
+  ``_resume`` watermark to cover the highest ack, the resumed event
+  stream to be byte-identical again, and another clean drain.
 
 Run as ``PYTHONPATH=src python scripts/chaos_serve_smoke.py``; exits
 non-zero on the first deviation.
@@ -45,6 +50,7 @@ from repro.serve import (  # noqa: E402
     dumps_event,
     stream_events_durable,
 )
+from repro.serve.client import _hello, open_connection  # noqa: E402
 from repro.serve.session import DetectionSession  # noqa: E402
 from repro.trace.io import write_event_stream  # noqa: E402
 from repro.workloads import availability_predicate, random_deposet  # noqa: E402
@@ -99,22 +105,112 @@ def wait_for_socket(path, proc, deadline=30):
     sys.exit("server never created its socket")
 
 
+def start_server(sock, durable, *flags):
+    """The real CLI server in its own process group (so a SIGKILL of the
+    group takes its workers down with it)."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--listen", f"unix:{sock}", "--workers", "2",
+         "--durable", durable, "--fsync", "batch", *flags],
+        env={**os.environ, "PYTHONPATH": "src"},
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    wait_for_socket(sock, server)
+    return server
+
+
+def drain(server, durable):
+    """SIGINT: exit 0, "drained", nothing left on disk."""
+    server.send_signal(signal.SIGINT)
+    try:
+        rc = server.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        sys.exit("server did not drain within 30s of SIGINT")
+    err = server.stderr.read()
+    check(rc == 0, f"server exited 0 after SIGINT (rc={rc})\n{err}")
+    check("drained" in err, "server reported a clean drain")
+    leftovers = [os.path.join(dp, f)
+                 for dp, _, files in os.walk(durable) for f in files]
+    check(leftovers == [],
+          "completed session left no WAL/checkpoint residue")
+
+
+async def durable_hello(connect):
+    reader, writer = await open_connection(connect)
+    writer.write(_hello("hello", tenant="t", session="s",
+                        predicate=PREDICATE, durable=True, have_events=0))
+    first = json.loads(await asyncio.wait_for(reader.readline(), 10))
+    check(first.get("e") == "_resume", f"durable handshake {first}")
+    return reader, writer, int(first["seq"])
+
+
+async def send_without_end(connect, doc, batch):
+    """Header and every record, no end marker; returns the highest
+    ``_durable`` seq once it covers the last full batch."""
+    reader, writer, _ = await durable_hello(connect)
+    writer.write((json.dumps({"t": "hdr", "line": doc[0]}) + "\n").encode())
+    for q, line in enumerate(doc[1:], start=1):
+        writer.write((json.dumps({"t": "rec", "q": q, "line": line})
+                      + "\n").encode())
+    await writer.drain()
+    target = ((len(doc) - 1) // batch) * batch
+    acked = 0
+    while acked < target:
+        ev = json.loads(await asyncio.wait_for(reader.readline(), 10))
+        if ev.get("e") == "_durable":
+            acked = max(acked, int(ev["seq"]))
+    return acked
+
+
+async def resume_watermark(connect):
+    _, writer, seq = await durable_hello(connect)
+    writer.transport.abort()  # the session parks again
+    return seq
+
+
+def server_kill9_phase(tmp, doc, expected):
+    """SIGKILL the whole server after it acked records as durable; the
+    restart on the same directory must keep every acked record."""
+    sock = os.path.join(tmp, "serve2.sock")
+    durable = os.path.join(tmp, "durable2")
+    connect = f"unix:{sock}"
+    batch = 32
+    server = start_server(sock, durable, "--batch", str(batch))
+    try:
+        acked = asyncio.run(send_without_end(connect, doc, batch))
+        os.killpg(server.pid, signal.SIGKILL)
+        server.wait(timeout=30)
+        check(acked >= 4 * batch,
+              f"server acked seq {acked} as durable, then was SIGKILLed")
+        os.unlink(sock)
+        server = start_server(sock, durable)
+        resumed = asyncio.run(resume_watermark(connect))
+        check(resumed >= acked,
+              f"restarted server resumes at seq {resumed} >= acked {acked}")
+        events = asyncio.run(asyncio.wait_for(stream_events_durable(
+            connect, "t", "s", PREDICATE, doc,
+            backoff=Backoff(base=0.05, max_retries=100, seed=13),
+            timeout=TIMEOUT), TIMEOUT))
+        got = [dumps_event(e) for e in events if e.get("e") != "closed"]
+        check(got == expected,
+              f"{len(got)} events after the server kill -9 byte-identical "
+              f"to the undisturbed session")
+        drain(server, durable)
+    finally:
+        if server.poll() is None:
+            os.killpg(server.pid, signal.SIGKILL)
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="repro-chaos-serve-")
     sock = os.path.join(tmp, "serve.sock")
     durable = os.path.join(tmp, "durable")
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--listen", f"unix:{sock}", "--workers", "2", "--batch", "2",
-         "--durable", durable, "--fsync", "batch",
-         "--checkpoint-every", "8",
-         "--heartbeat-interval", "0.05", "--heartbeat-timeout", "2.0",
-         "--restart-budget", "3"],
-        env={**os.environ, "PYTHONPATH": "src"},
-        stderr=subprocess.PIPE, text=True,
-    )
+    server = start_server(
+        sock, durable, "--batch", "2", "--checkpoint-every", "8",
+        "--heartbeat-interval", "0.05", "--heartbeat-timeout", "2.0",
+        "--restart-budget", "3")
     try:
-        wait_for_socket(sock, server)
         dep, doc = make_doc(1777)
         expected = expected_events(doc)
 
@@ -171,23 +267,12 @@ def main():
               f"final == batch oracle {witness}")
 
         # bounded drain: SIGINT, exit 0, "drained", nothing left on disk
-        server.send_signal(signal.SIGINT)
-        try:
-            rc = server.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            sys.exit("server did not drain within 30s of SIGINT")
-        err = server.stderr.read()
-        check(rc == 0, f"server exited 0 after SIGINT (rc={rc})\n{err}")
-        check("drained" in err, "server reported a clean drain")
-        leftovers = [os.path.join(dp, f)
-                     for dp, _, files in os.walk(durable) for f in files]
-        check(leftovers == [],
-              "completed session left no WAL/checkpoint residue")
-        print("chaos serve smoke OK")
+        drain(server, durable)
     finally:
         if server.poll() is None:
-            server.kill()
+            os.killpg(server.pid, signal.SIGKILL)
+    server_kill9_phase(tmp, doc, expected)
+    print("chaos serve smoke OK")
 
 
 if __name__ == "__main__":

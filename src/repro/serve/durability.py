@@ -11,11 +11,13 @@ session a crash-safe on-disk shape:
         Append-only write-ahead log of accepted ``repro-events/1``
         records.  Each line is ``"%08x %s" % (crc32(payload), payload)``
         where payload is a compact JSON object -- kind ``hdr`` (the
-        stream header), ``rec`` (one accepted record with its durable
-        ``seq``), or ``end`` (clean end-of-stream).  A torn tail (a
-        partially-written last line after a crash) fails its CRC and is
-        ignored on recovery, then truncated away when the segment is
-        re-opened for append -- so the restarted server's next append
+        stream header), ``rec`` (one forwarded chunk: ``lines[i]`` has
+        durable seq ``seq + i``; older one-line ``"line"`` frames are
+        still read), or ``end`` (clean end-of-stream).  Each frame is one
+        ``write()``, in the kernel before its ``_durable`` ack.  A torn
+        tail (a partially-written last line after a crash) fails its CRC
+        and is ignored on recovery, then truncated away when the segment
+        is re-opened for append -- so the restarted server's next append
         starts on a fresh line instead of merging with the partial one.
         Anything *before* a corrupt line survives.
     ``ckpt.json``
@@ -36,10 +38,10 @@ checkpoint (if any) + replay of WAL records with ``seq`` greater than
 the checkpoint's watermark, across all surviving generations in order.
 
 Fsync policy (:class:`FsyncPolicy`) trades durability for throughput:
-``always`` fsyncs every appended record, ``batch`` fsyncs on checkpoint
-and explicit flushes only (the default -- an OS crash may lose the
-in-page tail, a *process* crash loses nothing), ``never`` leaves it to
-the OS entirely (benchmarks only).
+``always`` fsyncs every frame (one per forwarded chunk), ``batch`` on
+checkpoint, end and park (the default -- an OS crash may lose the
+unsynced tail; a *process* crash loses nothing, every frame being in
+the kernel), ``never`` leaves it to the OS (benchmarks only).
 """
 
 from __future__ import annotations
@@ -123,6 +125,12 @@ def _unframe(line: str) -> Optional[Dict[str, Any]]:
     return payload if isinstance(payload, dict) else None
 
 
+def _rec_pairs(payload: Dict[str, Any]) -> List[Tuple[int, str]]:
+    """A ``rec`` frame's ``(seq, line)`` pairs (old frames hold one line)."""
+    lines = payload["lines"] if "lines" in payload else [payload.get("line", "")]
+    return list(enumerate(lines, int(payload.get("seq", 0))))
+
+
 def _fsync_dir(path: str) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -152,7 +160,7 @@ class SessionWal:
         self._retained: Dict[int, int] = {}
         os.makedirs(directory, exist_ok=True)
         self._scan_existing(gen)
-        self._fh = open(self._segment_path(gen), "a", encoding="utf-8")
+        self._fh = open(self._segment_path(gen), "ab")
 
     def _scan_existing(self, current_gen: int) -> None:
         """After a recovery re-open, repair each surviving segment's torn
@@ -200,7 +208,7 @@ class SessionWal:
                 if payload is None:
                     continue
                 if payload.get("t") == "rec":
-                    top = max(top, int(payload.get("seq", 0)))
+                    top = max([top] + [q for q, _ in _rec_pairs(payload)])
                 elif payload.get("t") == "end":
                     self._ended = True
             if chunks:
@@ -226,10 +234,11 @@ class SessionWal:
     # -- writing -------------------------------------------------------------
 
     def append(self, payload: Dict[str, Any]) -> None:
-        self._fh.write(_frame(payload) + "\n")
+        # one write() per frame: the kernel holds it before any ack
+        self._fh.write((_frame(payload) + "\n").encode("utf-8"))
+        self._fh.flush()
         _WAL_APPENDS.inc()
         if self.fsync == FsyncPolicy.ALWAYS:
-            self._fh.flush()
             os.fsync(self._fh.fileno())
             _WAL_FSYNCS.inc()
 
@@ -237,10 +246,12 @@ class SessionWal:
                       opts: Optional[Dict[str, Any]] = None) -> None:
         self.append({"t": "hdr", "header": header, "opts": opts or {}})
 
-    def append_record(self, seq: int, line: str) -> None:
-        self.append({"t": "rec", "seq": seq, "line": line})
-        if seq > self.max_seq:
-            self.max_seq = seq
+    def append_record(self, first_seq: int, lines: List[str]) -> None:
+        """One frame for a forwarded chunk; ``lines[i]`` is seq ``first_seq + i``."""
+        if isinstance(lines, str):
+            raise TypeError("lines must be a list of stream lines, not str")
+        self.append({"t": "rec", "seq": first_seq, "lines": lines})
+        self.max_seq = max(self.max_seq, first_seq + len(lines) - 1)
 
     def append_end(self) -> None:
         self.append({"t": "end"})
@@ -268,7 +279,7 @@ class SessionWal:
         self._retained[self.gen] = self.max_seq
         self.gen += 1
         self.max_seq = 0
-        self._fh = open(self._segment_path(self.gen), "a", encoding="utf-8")
+        self._fh = open(self._segment_path(self.gen), "ab")
         if self._ended:
             # keep the clean-end marker visible in the live generation even
             # after the segment that first recorded it is truncated away
@@ -396,8 +407,8 @@ class SessionDurability:
                    opts: Optional[Dict[str, Any]] = None) -> None:
         self.wal.append_header(header, opts)
 
-    def log_record(self, seq: int, line: str) -> None:
-        self.wal.append_record(seq, line)
+    def log_record(self, first_seq: int, lines: List[str]) -> None:
+        self.wal.append_record(first_seq, lines)
 
     def log_end(self) -> None:
         self.wal.append_end()
@@ -522,9 +533,7 @@ class DurabilityManager:
                 if not opts:
                     opts = dict(payload.get("opts") or {})
             elif kind == "rec":
-                seq = int(payload.get("seq", 0))
-                if seq > watermark:
-                    records.append((seq, payload.get("line", "")))
+                records += [r for r in _rec_pairs(payload) if r[0] > watermark]
             elif kind == "end":
                 ended = True
         if header is None:

@@ -227,7 +227,9 @@ def resume_event(seq: int, events: int) -> Dict[str, Any]:
 
 
 def durable_event(seq: int) -> Dict[str, Any]:
-    """Wire (durable streams only): records up to ``seq`` hit the WAL."""
+    """Wire (durable streams only): records up to ``seq`` are in the WAL,
+    one frame per forwarded chunk already in the kernel, so a server
+    process crash cannot lose them (``--fsync always``: nor a host crash)."""
     return {"e": "_durable", "seq": seq}
 
 

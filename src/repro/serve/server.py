@@ -510,9 +510,8 @@ class ReproServer:
             if entry.dur is not None:
                 # log-before-feed: the WAL must cover everything a worker
                 # may have applied, or recovery could lose acked effects
-                for line in chunk:
-                    entry.wal_seq += 1
-                    entry.dur.log_record(entry.wal_seq, line)
+                entry.dur.log_record(entry.wal_seq + 1, chunk)
+                entry.wal_seq += len(chunk)
                 if entry.writer is not None:
                     with contextlib.suppress(Exception):
                         entry.writer.write(
@@ -692,10 +691,10 @@ class ReproServer:
         parking this session on disk; the client may never resend them)."""
         if entry.dur is None:
             return
-        for line in entry.buffer:
-            entry.wal_seq += 1
-            entry.dur.log_record(entry.wal_seq, line)
-        entry.buffer.clear()
+        if entry.buffer:
+            entry.dur.log_record(entry.wal_seq + 1, entry.buffer)
+            entry.wal_seq += len(entry.buffer)
+            entry.buffer.clear()
         entry.dur.flush()
 
     def _park(self, entry: _Entry) -> None:
