@@ -8,8 +8,8 @@ Runs the same replicated-server workload three ways:
    still running, every consistent global state where all servers are down;
 2. *controlled, monitored* -- the scapegoat controller
    (:class:`OnlineDisjunctiveControl`) enforces the availability predicate;
-   the monitor, which also folds the controller's req/ack causality into
-   its vector clocks, now finds nothing;
+   the monitor, which reads the controller's req/ack causality from the
+   recorded control arrows, now finds nothing;
 3. cross-check both against off-line detection on the recorded traces.
 """
 
@@ -68,7 +68,7 @@ def main() -> None:
     print(f"\ncontrolled run: {len(guard.handoffs)} scapegoat handoffs, "
           f"{result.control_messages} control messages")
     print(f"monitor detected {len(monitor.violations)} violation(s) "
-          f"(control causality folded into its clocks)")
+          f"(control arrows are part of the recorded causality)")
     assert monitor.violations == []
     assert possibly_bad(result.deposet, safety) is None
     print("the bug is impossible, and the live monitor can prove it too")

@@ -16,7 +16,10 @@ where a safety predicate fails.  This package provides:
 * :class:`IncrementalDetector` -- the streaming variant of the
   conjunctive detector: polls a growing
   :class:`~repro.store.TraceStore` and answers over the current prefix
-  without per-poll rescans (``repro watch``).
+  without per-poll rescans (``repro watch``, ``repro serve``).
+* :class:`ViolationMonitor` -- live detection in the simulator: an
+  observer that polls an :class:`IncrementalDetector` over the run's
+  recorder store after every event and reports each disjoint witness.
 * :mod:`repro.detection.sgsd` -- satisfying-global-sequence detection, the
   NP-complete problem of Lemma 1 (exhaustive, subset-move semantics).
 * :mod:`repro.detection.reduction` -- the SAT -> SGSD mapping of Figure 1.

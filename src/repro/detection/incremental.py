@@ -66,8 +66,11 @@ class WatchResult:
     does *every* execution pass through a violating state, i.e. does no
     controller exist -- and ``obstruction`` then holds the Lemma 2
     overlapping set of false-intervals, one per process, that proves it.
-    ``pending`` lists processes that never produced a false state (their
-    disjunct "saves" the predicate).
+    ``pending`` lists the processes whose false candidates were all
+    eliminated (or that had none) when the search parked: non-empty
+    exactly when there is no witness.  Which processes it names depends
+    on the elimination order, so a pending process may well have false
+    states.
     """
 
     witness: Optional[Cut]

@@ -2,16 +2,14 @@
 
 The passive half of the paper's debugging cycle, executed *live*: a
 monitor observes a running system (via the simulator's
-:class:`~repro.sim.system.Observer` hook), maintains vector clocks, and
-detects -- while the run is still in progress -- every consistent global
-state in which all local conditions are false.  This is the classic
-Garg-Waldecker weak-conjunctive-predicate detector in its on-line,
-checker-process form: each process contributes a queue of candidate
-(false) states stamped with vector clocks; whenever two queue heads are
-causally ordered the earlier one is eliminated; when the heads are pairwise
-concurrent they form a violating cut.
+:class:`~repro.sim.system.Observer` hook) and detects -- while the run is
+still in progress -- every consistent global state in which all local
+conditions are false.  It keeps no causality of its own: it polls an
+:class:`~repro.detection.incremental.IncrementalDetector` over the
+recorder's store, so message and control arrows count exactly as
+recorded.
 
-The monitor is deliberately the mirror image of
+The monitor is the mirror image of
 :class:`~repro.core.online.OnlineDisjunctiveControl`: same per-process
 local conditions, but *watching* instead of *blocking* -- run both to see
 detection report nothing once control is active.
@@ -19,12 +17,13 @@ detection report nothing once control is active.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.causality.vector_clock import VectorClock
+from repro.detection.incremental import IncrementalDetector
 from repro.errors import OnlineControlError
+from repro.predicates.disjunctive import DisjunctivePredicate
+from repro.predicates.local import LocalPredicate
 from repro.sim.system import Observer
 
 __all__ = ["Violation", "ViolationMonitor"]
@@ -59,17 +58,6 @@ class ViolationMonitor(Observer):
         self.conditions = list(conditions)
         self.n = len(conditions)
         self.violations: List[Violation] = []
-        self._clocks: List[VectorClock] = []
-        #: clock of every past state, per process (control-merge lookups)
-        self._history: List[List[VectorClock]] = [[] for _ in range(self.n)]
-        self._send_clocks: Dict[int, VectorClock] = {}
-        #: control-induced merges waiting for the target's next event
-        self._pending_merge: List[List[VectorClock]] = [[] for _ in range(self.n)]
-        self._queues: List[Deque[Tuple[int, VectorClock]]] = [
-            deque() for _ in range(self.n)
-        ]
-
-    # -- wiring ----------------------------------------------------------------
 
     def attach(self, system) -> None:
         super().attach(system)
@@ -77,79 +65,36 @@ class ViolationMonitor(Observer):
             raise OnlineControlError(
                 f"{self.n} conditions for {system.n} processes"
             )
-        for i in range(self.n):
-            clock = VectorClock.zero(self.n).tick(i)  # state 0's clock
-            self._clocks.append(clock)
-            self._history[i].append(clock)
-            if not self.conditions[i](system.recorder.current_vars(i)):
-                self._queues[i].append((0, clock))
-        self._sweep()
+        self._detector = self._detector_above((-1,) * self.n)
+        self._poll()  # the initial cut may already violate
 
     @property
     def first(self) -> Optional[Tuple[int, ...]]:
         return self.violations[0].cut if self.violations else None
 
-    # -- observation --------------------------------------------------------------
-
-    def on_control(self, src_proc, dst_proc, src_state) -> None:
-        # "entered" semantics: the message proves enter(src_state) precedes
-        # dst's next entered state, i.e. src_state's *predecessor* completed
-        # before it -- merge that predecessor's clock (no content when the
-        # sender was still in its start state).
-        if src_state >= 1:
-            self._pending_merge[dst_proc].append(
-                self._history[src_proc][src_state - 1]
-            )
-
     def on_event(self, proc, index, vars, kind, msg_uid=None) -> None:
-        clock = self._clocks[proc].tick(proc)
-        if kind == "receive" and msg_uid is not None:
-            sender_clock = self._send_clocks.pop(msg_uid, None)
-            if sender_clock is not None:
-                clock = clock.merge(sender_clock)
-        for merged in self._pending_merge[proc]:
-            clock = clock.merge(merged)
-        self._pending_merge[proc].clear()
-        self._clocks[proc] = clock
-        self._history[proc].append(clock)
-        if kind == "send" and msg_uid is not None:
-            self._send_clocks[msg_uid] = clock
-        if not self.conditions[proc](vars):
-            self._queues[proc].append((index, clock))
-            self._sweep()
+        self._poll()
 
-    # -- the checker ---------------------------------------------------------------
+    def _detector_above(self, floor: Tuple[int, ...]) -> IncrementalDetector:
+        """A detector whose least witness is the least violating cut
+        strictly above ``floor`` on every process: disjunct ``i`` also
+        holds at every state ``index <= floor[i]``."""
+        disjuncts = [
+            LocalPredicate(
+                i,
+                lambda s, cond=cond, low=low: s.index <= low or bool(cond(s.vars)),
+            )
+            for i, (cond, low) in enumerate(zip(self.conditions, floor))
+        ]
+        return IncrementalDetector(
+            self.system.recorder.store, DisjunctivePredicate(disjuncts, n=self.n)
+        )
 
-    def _heads(self) -> Optional[List[Tuple[int, VectorClock]]]:
-        if any(not q for q in self._queues):
-            return None
-        return [q[0] for q in self._queues]
-
-    def _sweep(self) -> None:
-        """Run candidate elimination until a cut is found or a queue dries."""
-        while True:
-            heads = self._heads()
-            if heads is None:
-                return
-            eliminated = False
-            for i in range(self.n):
-                ai, _ = heads[i]
-                for j in range(self.n):
-                    if i == j:
-                        continue
-                    _, vj = heads[j]
-                    if vj[i] >= ai:  # state ai on P_i precedes head_j: drop it
-                        self._queues[i].popleft()
-                        eliminated = True
-                        break
-                if eliminated:
-                    break
-            if eliminated:
-                continue
-            # pairwise concurrent: a violating consistent global state
-            cut = tuple(heads[i][0] for i in range(self.n))
+    def _poll(self) -> None:
+        cut = self._detector.poll()
+        while cut is not None:
             self.violations.append(
                 Violation(cut=cut, detected_at=self.system.queue.now)
             )
-            for q in self._queues:
-                q.popleft()  # continue looking for disjoint later witnesses
+            self._detector = self._detector_above(cut)
+            cut = self._detector.poll()

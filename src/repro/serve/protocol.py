@@ -24,9 +24,10 @@ where ``seq`` is the number of stream records applied when it fired):
     End of stream: the last word on the session.  ``witness`` is the
     final least violating cut or ``null``; ``definitely`` (a boolean)
     says no controller exists, so every execution violates; ``pending``
-    lists processes whose disjunct never went false; ``degraded`` is true
-    when backpressure shed records (the verdict covers only the applied
-    prefix).
+    lists processes whose false candidates were all eliminated when the
+    search parked (which ones depends on the elimination order);
+    ``degraded`` is true when backpressure shed records (the verdict
+    covers only the applied prefix).
 ``shed``
     The slow-consumer policy dropped ``dropped`` records (tail-shedding:
     nothing after the marker was applied).

@@ -20,7 +20,7 @@ just appears slow.  This is the paper's transparent controller hook.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -127,12 +127,13 @@ class Observer:
     Unlike a :class:`TransitionGuard` (which gates transitions and of which
     a system has exactly one), any number of observers may watch a run --
     the attachment point for on-line *detection* (e.g.
-    :class:`repro.detection.online.ViolationMonitor`).
+    :class:`repro.detection.online.ViolationMonitor`, which reads the
+    causality the recorder has already stored in ``system.recorder.store``).
 
     ``kind`` is ``"local"``, ``"send"`` or ``"receive"``; for the message
     kinds ``msg_uid`` identifies the message (the same uid is seen by the
-    sender's and the receiver's notifications), letting observers carry
-    vector clocks across messages.
+    sender's and the receiver's notifications), letting observers that
+    keep their own clocks carry them across messages.
     """
 
     system: "System"
@@ -287,6 +288,7 @@ class System:
         for obs in self.observers:
             obs.attach(self)
         self._msg_uid = 0
+        self._delivered_uids: Set[int] = set()
         self.proc_names = proc_names
         self._procs: List[_ProcState] = []
         self._contexts: List[ProcessContext] = []
@@ -465,6 +467,9 @@ class System:
                 )
             return
         msg: _AppMessage = delivery.payload
+        if msg.uid in self._delivered_uids:
+            return  # an injected duplicate: one send, one receive (D3)
+        self._delivered_uids.add(msg.uid)
         self._procs[delivery.dst].inbox.append(msg)
         self._try_deliver(delivery.dst)
 

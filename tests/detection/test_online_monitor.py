@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.online import OnlineDisjunctiveControl
-from repro.detection import possibly_bad
+from repro.detection import possibly_bad, violating_cuts
 from repro.detection.online import ViolationMonitor
 from repro.errors import OnlineControlError
+from repro.faults import FaultPlan
 from repro.sim import System
 from repro.workloads import availability_predicate
 
@@ -30,7 +31,7 @@ def updown_program(cycles):
     return program
 
 
-def run_with_monitor(n=3, cycles=5, seed=0, guard=None):
+def run_with_monitor(n=3, cycles=5, seed=0, guard=None, faults=None):
     monitor = ViolationMonitor(up_conditions(n))
     system = System(
         [updown_program(cycles) for _ in range(n)],
@@ -39,6 +40,7 @@ def run_with_monitor(n=3, cycles=5, seed=0, guard=None):
         guard=guard,
         seed=seed,
         jitter=0.3,
+        faults=faults,
     )
     result = system.run(max_events=100_000)
     return monitor, result
@@ -49,6 +51,58 @@ def test_first_violation_matches_offline_detection(seed):
     monitor, result = run_with_monitor(seed=seed)
     offline = possibly_bad(result.deposet, availability_predicate(3, var="up"))
     assert monitor.first == offline
+
+
+def disjoint_chain(dep, pred):
+    """Ground truth by brute force: starting from nothing, repeatedly take
+    the componentwise-least violating cut strictly above the previous one
+    on every process (violating cuts strictly above a cut are closed under
+    componentwise min, so the least one is itself violating)."""
+    cuts = violating_cuts(dep, pred)
+    chain = []
+    while True:
+        above = [
+            c for c in cuts
+            if not chain or all(x > y for x, y in zip(c, chain[-1]))
+        ]
+        if not above:
+            return chain
+        least = tuple(min(col) for col in zip(*above))
+        assert least in above
+        chain.append(least)
+
+
+def assert_matches_ground_truth(monitor, result, n):
+    dep = result.deposet
+    truth = disjoint_chain(dep, availability_predicate(n, var="up"))
+    assert [v.cut for v in monitor.violations] == truth
+    for v in monitor.violations:
+        # detected the moment the cut's last state was entered
+        assert v.detected_at == max(
+            dep.timestamps[i][a] for i, a in enumerate(v.cut)
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_violations_equal_brute_force_disjoint_chain(n, seed):
+    monitor, result = run_with_monitor(n=n, seed=seed)
+    assert_matches_ground_truth(monitor, result, n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_guarded_run_matches_ground_truth(seed):
+    guard = OnlineDisjunctiveControl(up_conditions(3))
+    monitor, result = run_with_monitor(seed=seed, guard=guard)
+    assert_matches_ground_truth(monitor, result, 3)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_crashed_run_matches_ground_truth(seed):
+    plan = FaultPlan(seed=seed, crashes={seed % 3: 5.0})
+    monitor, result = run_with_monitor(seed=seed, faults=plan)
+    assert result.crashed
+    assert_matches_ground_truth(monitor, result, 3)
 
 
 def test_violations_are_disjoint_and_ordered():

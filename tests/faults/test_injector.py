@@ -160,3 +160,31 @@ class TestProcessFaults:
         assert a.faults == b.faults
         assert a.deposet == b.deposet
         assert a.duration == b.duration
+
+
+class TestMessageFaults:
+    def test_duplicated_app_messages_are_received_once(self):
+        """A duplicated application message is one send and one receive:
+        the extra copy is suppressed at the receiver, not recorded as a
+        second receive of the same send (D3)."""
+        rounds = 4
+
+        def ring(ctx):
+            for k in range(rounds):
+                yield ctx.compute(float(ctx.rng.uniform(0.5, 1.5)))
+                yield ctx.send((ctx.proc + 1) % ctx.n, k)
+            for _ in range(rounds):
+                yield ctx.receive()
+
+        for seed in range(5):
+            plan = FaultPlan(
+                seed=seed,
+                default_channel=ChannelFaultSpec(duplicate_rate=1.0, scope="app"),
+            )
+            result = System([ring] * 3, seed=seed, faults=plan).run()
+            assert not result.deadlocked
+            assert result.faults["duplicates"] == result.app_messages == 3 * rounds
+            messages = result.deposet.messages
+            assert len(messages) == result.app_messages
+            assert len({m.src for m in messages}) == len(messages)
+            assert len({m.dst for m in messages}) == len(messages)
