@@ -176,7 +176,7 @@ async def _recover_once(root):
     srv = ReproServer(cfg)
     await srv.start()
     [entry] = srv._entries.values()
-    final = await asyncio.wait_for(entry.final, 60.0)
+    final = await asyncio.wait_for(entry.outcome, 60.0)
     wall = time.perf_counter() - t0
     await srv.drain()
     return wall, final

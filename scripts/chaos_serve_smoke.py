@@ -21,7 +21,11 @@ everything the robustness layer exists for, at once, to one session:
   included) after it has acked records as ``_durable``, restarts it on
   the same ``--durable`` directory, and requires the restarted server's
   ``_resume`` watermark to cover the highest ack, the resumed event
-  stream to be byte-identical again, and another clean drain.
+  stream to be byte-identical again, and another clean drain;
+* finally opens a hello-only durable connection and a hello-only plain
+  connection on a third server, drops both, and requires SIGINT to
+  drain it within the same 10 s bound: a vanished client never delays
+  shutdown.
 
 Run as ``PYTHONPATH=src python scripts/chaos_serve_smoke.py``; exits
 non-zero on the first deviation.
@@ -123,10 +127,10 @@ def drain(server, durable):
     """SIGINT: exit 0, "drained", nothing left on disk."""
     server.send_signal(signal.SIGINT)
     try:
-        rc = server.wait(timeout=30)
+        rc = server.wait(timeout=10)
     except subprocess.TimeoutExpired:
         server.kill()
-        sys.exit("server did not drain within 30s of SIGINT")
+        sys.exit("server did not drain within 10s of SIGINT")
     err = server.stderr.read()
     check(rc == 0, f"server exited 0 after SIGINT (rc={rc})\n{err}")
     check("drained" in err, "server reported a clean drain")
@@ -202,6 +206,38 @@ def server_kill9_phase(tmp, doc, expected):
             os.killpg(server.pid, signal.SIGKILL)
 
 
+async def hello_only(connect, session, durable):
+    """Send one hello and nothing else; returns the open connection."""
+    _, writer = await open_connection(connect)
+    writer.write(_hello("hello", tenant="t", session=session,
+                        predicate=PREDICATE, durable=durable))
+    await writer.drain()
+    return writer
+
+
+def vanished_clients_phase(tmp):
+    """Clients that sent only their hello and vanished hold no worker
+    state: SIGINT must drain at once, not wait out --drain-timeout."""
+    sock = os.path.join(tmp, "serve3.sock")
+    durable = os.path.join(tmp, "durable3")
+    connect = f"unix:{sock}"
+    server = start_server(sock, durable)
+
+    async def vanish():
+        writers = [await hello_only(connect, "quiet-durable", True),
+                   await hello_only(connect, "quiet-plain", False)]
+        await asyncio.sleep(0.2)  # let the server admit both sessions
+        for writer in writers:
+            writer.transport.abort()
+
+    try:
+        asyncio.run(vanish())
+        drain(server, durable)  # within 10 s, or the smoke fails
+    finally:
+        if server.poll() is None:
+            os.killpg(server.pid, signal.SIGKILL)
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="repro-chaos-serve-")
     sock = os.path.join(tmp, "serve.sock")
@@ -272,6 +308,7 @@ def main():
         if server.poll() is None:
             os.killpg(server.pid, signal.SIGKILL)
     server_kill9_phase(tmp, doc, expected)
+    vanished_clients_phase(tmp)
     print("chaos serve smoke OK")
 
 

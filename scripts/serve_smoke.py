@@ -183,10 +183,10 @@ def main():
         # graceful drain on SIGINT, bounded
         server.send_signal(signal.SIGINT)
         try:
-            _out, err = server.communicate(timeout=30)
+            _out, err = server.communicate(timeout=10)
         except subprocess.TimeoutExpired:
             server.kill()
-            sys.exit("server did not drain within 30s of SIGINT")
+            sys.exit("server did not drain within 10s of SIGINT")
         check(server.returncode == 0, "server exited 0 after SIGINT")
         check("drained" in err, "server reported a clean drain")
 
@@ -246,7 +246,7 @@ def main():
             if lint_server.poll() is None:
                 lint_server.send_signal(signal.SIGINT)
                 try:
-                    lint_server.communicate(timeout=30)
+                    lint_server.communicate(timeout=10)
                 except subprocess.TimeoutExpired:
                     lint_server.kill()
 

@@ -38,7 +38,6 @@ from repro.core import (
     crossable,
     definitely_violated,
     deposet_satisfies,
-    find_overlapping_intervals,
     is_feasible,
     overlap,
     verify_control,
@@ -154,8 +153,8 @@ __all__ = [
     "ControlRelation", "OfflineResult", "control_disjunctive",
     "control_general", "control_from_sequence", "control_cnf",
     "clauses_mutually_separated", "crossable", "overlap",
-    "find_overlapping_intervals", "deposet_satisfies", "verify_control",
-    "is_feasible", "definitely_violated",
+    "deposet_satisfies", "verify_control", "is_feasible",
+    "definitely_violated",
     "OnlineDisjunctiveControl", "Handoff",
     # replay & simulation
     "replay", "ReplayResult", "System", "TransitionGuard", "Observer",

@@ -1121,7 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=64,
                    help="stream lines per worker batch")
     p.add_argument("--drain-timeout", type=float, default=30.0,
-                   help="seconds to wait for final verdicts at shutdown")
+                   help="seconds to wait for a session's outcome; bounds "
+                        "only a wedged, unsupervised worker")
     p.add_argument("--durable", metavar="DIR",
                    help="directory for per-session WALs + checkpoints; "
                         "enables crash-safe sessions and client resume "

@@ -19,7 +19,7 @@
 
 from repro.core.control_relation import ControlRelation
 from repro.core.offline import OfflineResult, control_disjunctive
-from repro.core.overlap import crossable, overlap, find_overlapping_intervals
+from repro.core.overlap import crossable, overlap
 from repro.core.verify import (
     deposet_satisfies,
     verify_control,
@@ -34,7 +34,6 @@ __all__ = [
     "control_disjunctive",
     "crossable",
     "overlap",
-    "find_overlapping_intervals",
     "deposet_satisfies",
     "verify_control",
     "is_feasible",

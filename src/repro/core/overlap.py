@@ -25,13 +25,13 @@ mid-trace false interval is uncontrollable).
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.causality.relations import CausalOrder, StateRef
 from repro.predicates.intervals import FalseInterval
 from repro.trace.deposet import Deposet
 
-__all__ = ["crossable", "overlap", "find_overlapping_intervals"]
+__all__ = ["crossable", "overlap"]
 
 
 def crossable(
@@ -78,21 +78,3 @@ def overlap(
         if crossable(dep, ii, ij, order):
             return False
     return True
-
-
-def find_overlapping_intervals(
-    dep: Deposet, interval_lists: Sequence[Sequence[FalseInterval]]
-) -> Optional[Tuple[FalseInterval, ...]]:
-    """Brute-force search for an overlapping set (ground truth, exponential).
-
-    Tries every combination of one interval per process; ``None`` when no
-    process combination overlaps (including when some process has no false
-    interval at all -- then no overlapping set can exist).
-    """
-    if any(len(lst) == 0 for lst in interval_lists):
-        return None
-    order = dep.order
-    for combo in product(*interval_lists):
-        if overlap(dep, combo, order):
-            return tuple(combo)
-    return None

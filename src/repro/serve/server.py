@@ -37,10 +37,17 @@ cuts the connection after an error event.  Policies are per-server,
 quotas per-tenant; one tenant tripping its policy never touches another
 tenant's session (pinned by tests/serve/test_backpressure.py).
 
-**Drain.**  ``drain()`` stops the listeners, cancels readers, flushes
-every admitted session's buffered lines, finalizes all sessions (final
-verdicts still reach their connections and subscribers), stops the
-worker pool, and merges worker metrics into the live registry.
+**Session end.**  A session ends when its outcome is known: the final
+verdict, or the error that failed it (a worker's, or the supervisor's
+``worker-crash``).  ``closed`` follows at once.  A session whose header
+never reached a worker has nothing to finalize and ends immediately.
+
+**Drain.**  ``drain()`` stops the listeners and cancels readers.  A
+durable session that has not received its end marker is parked on disk
+for the next start, not finalized.  Every other session has its
+buffered lines flushed and ends as above, so its final verdict still
+reaches its connection and subscribers.  Then the worker pool stops and
+its metrics merge into the live registry.
 """
 
 from __future__ import annotations
@@ -112,7 +119,8 @@ class ServeConfig:
     tenant_opts: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: lines per worker batch (flush threshold)
     batch: int = 64
-    #: seconds to wait for final verdicts during drain
+    #: seconds to wait for a session's outcome; bounds only a wedged worker
+    #: that no supervisor fails (a live worker or the supervisor answers)
     drain_timeout: float = 30.0
     #: durability root directory; ``None`` = in-memory serving (PR 6 shape)
     durable_dir: Optional[str] = None
@@ -152,7 +160,7 @@ class _Entry:
     """Loop-thread state for one admitted session."""
 
     __slots__ = (
-        "state", "writer", "push", "credit", "final", "error",
+        "state", "writer", "push", "credit", "outcome", "error",
         "buffer", "lineno", "last_flush", "finalizing",
         # durable-session state
         "durable", "dur", "accepted", "wal_seq", "last_ckpt", "events_log",
@@ -167,7 +175,9 @@ class _Entry:
         self.push = push  # optional callable(event) for tail sessions
         self.credit = asyncio.Event()
         self.credit.set()
-        self.final: asyncio.Future = loop.create_future()
+        #: the final verdict, the error that failed the session, or
+        #: ``None`` when no worker ever held it
+        self.outcome: asyncio.Future = loop.create_future()
         self.error: Optional[Dict[str, Any]] = None
         self.buffer: List[str] = []
         self.lineno = 1  # header consumed the first line
@@ -186,6 +196,13 @@ class _Entry:
         self.ended = False      # clean end-of-stream marker seen
         self.opened = False     # header reached the worker
         self.restoring = False  # a restore op is in flight for this session
+
+    @property
+    def resumable(self) -> bool:
+        """A durable session a worker holds whose end marker has not
+        arrived: drain parks it on disk for a client to resume."""
+        return (self.durable and self.opened and not self.ended
+                and self.error is None)
 
 
 class ReproServer:
@@ -284,7 +301,7 @@ class ReproServer:
         final = next((ev for ev in entry.events_log
                       if ev.get("e") == "final"), None)
         if final is not None:
-            entry.final.set_result(final)
+            entry.outcome.set_result(final)
         elif rec.ended:
             self._finalize(key, entry)
         return entry
@@ -325,10 +342,12 @@ class ReproServer:
     async def drain(self) -> Dict[str, Any]:
         """Graceful shutdown; returns the registry's final stats.
 
-        Parked durable sessions (disconnected mid-stream, awaiting a
-        resume) are *not* finalized: their WAL + checkpoint stay on disk
-        and the next server start recovers them, so a restart in the
-        middle of a client outage loses nothing.
+        A durable session that has not received its end marker is
+        parked, *not* finalized: its WAL + checkpoint stay on disk and
+        the next server start recovers it, so a restart in the middle of
+        a client outage loses nothing.  (One whose header never arrived
+        holds nothing yet and is discarded.)  Every other session is
+        flushed and ends on its outcome (:meth:`_end`).
         """
         self._draining = True
         if self._supervisor_task is not None:
@@ -344,12 +363,11 @@ class ReproServer:
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        # finalize whatever is still admitted (readers are gone; buffers
-        # may still hold un-forwarded lines)
-        finals = []
+        # end whatever is still admitted (readers are gone; buffers may
+        # still hold un-forwarded lines)
+        ending = []
         for key, entry in list(self._entries.items()):
-            if (entry.durable and entry.opened and not entry.ended
-                    and entry.error is None):
+            if entry.resumable:
                 continue  # preserved on disk for the next start
             if not entry.finalizing and entry.error is None:
                 self._flush(key, entry, force=True)
@@ -357,19 +375,11 @@ class ReproServer:
                     _SHED.inc(len(entry.buffer))
                     entry.state.shed += len(entry.buffer)
                     entry.buffer.clear()
-                self._finalize(key, entry)
-            if not entry.final.done() and entry.error is None:
-                finals.append(entry.final)
-        if finals:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*finals, return_exceptions=True),
-                    timeout=self.config.drain_timeout,
-                )
+            ending.append(self._end(key, entry))
+        await asyncio.gather(*ending)
         stats = self.registry.stats()
         for key, entry in list(self._entries.items()):
-            if (entry.durable and entry.opened and not entry.ended
-                    and entry.error is None):
+            if entry.resumable:
                 self._flush_wal_tail(entry)
                 self._close_entry(key, entry, destroy_durable=False)
                 continue
@@ -427,14 +437,23 @@ class ReproServer:
                 continue
             if kind in ("witness", "final"):
                 _VERDICT_LAT.observe(now - entry.last_flush)
-            if kind == "error":
-                entry.error = ev
-                entry.credit.set()  # wake a paused reader so it can bail
             if entry.durable:
                 entry.events_log.append(ev)
+            if kind == "error":
+                self._fail(entry, ev)
+                continue
             self._publish(entry, ev)
-            if kind == "final" and not entry.final.done():
-                entry.final.set_result(ev)
+            if kind == "final" and not entry.outcome.done():
+                entry.outcome.set_result(ev)
+
+    def _fail(self, entry: _Entry, ev: Dict[str, Any]) -> None:
+        """The session failed with error event ``ev``: publish it, wake a
+        paused reader so it can bail, and resolve the outcome."""
+        entry.error = ev
+        self._publish(entry, ev)
+        entry.credit.set()
+        if not entry.outcome.done():
+            entry.outcome.set_result(ev)
 
     def _commit_checkpoint(self, entry: _Entry, ev: Dict[str, Any]) -> None:
         """A worker shipped a ``_ckpt`` snapshot: publish it atomically
@@ -534,8 +553,25 @@ class ReproServer:
             entry.buffer.clear()
 
     def _finalize(self, key: str, entry: _Entry) -> None:
+        """Ask the worker for the final verdict; a session no worker holds
+        has nothing to finalize, so its outcome is known at once."""
         entry.finalizing = True
-        self.pool.finalize(key, shed=entry.state.shed)
+        if entry.opened:
+            self.pool.finalize(key, shed=entry.state.shed)
+        elif not entry.outcome.done():
+            entry.outcome.set_result(None)
+
+    async def _end(self, key: str, entry: _Entry) -> Optional[Dict[str, Any]]:
+        """Finalize ``entry`` unless it is already ending, and wait for its
+        outcome.  A live worker answers and the supervisor fails the
+        session of a dead or hung one, so ``drain_timeout`` only bounds a
+        wedged worker nobody supervises (``None`` then)."""
+        if not entry.finalizing and not entry.outcome.done():
+            self._finalize(key, entry)
+        with contextlib.suppress(asyncio.TimeoutError):
+            return await asyncio.wait_for(asyncio.shield(entry.outcome),
+                                          timeout=self.config.drain_timeout)
+        return None
 
     def _close_entry(self, key: str, entry: _Entry, *,
                      destroy_durable: bool = True) -> None:
@@ -623,15 +659,6 @@ class ReproServer:
         with TRACER.span("serve.session", tenant=tenant, session=session):
             try:
                 await self._serve_stream(reader, entry, predicate)
-            except _Disconnect:
-                # slow-consumer disconnect: the error event is out; still
-                # deliver the degraded final covering the applied prefix
-                self._finalize(key, entry)
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        asyncio.shield(entry.final),
-                        timeout=self.config.drain_timeout,
-                    )
             finally:
                 if not self._draining:
                     self._publish(entry, event_closed(tenant, session,
@@ -649,7 +676,7 @@ class ReproServer:
             if not isinstance(header, dict):
                 raise ValueError("header is not an object")
         except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-            self._publish(entry, event_error(
+            self._fail(entry, event_error(
                 entry.state.tenant, entry.state.session, 0, "protocol",
                 f"expected a repro-events/1 header line ({exc})",
             ))
@@ -657,27 +684,23 @@ class ReproServer:
         self.pool.open_session(key, entry.state.tenant, entry.state.session,
                                header, predicate,
                                self._session_opts(entry.state.tenant))
-        while True:
-            if entry.error is not None:
-                return
-            raw = await reader.readline()
-            if raw == b"":
-                break
-            _LINES.inc()
-            entry.lineno += 1
-            line = raw.decode().strip()
-            if not line:
-                continue
-            entry.buffer.append(line)
-            await self._apply_policy(key, entry)
+        entry.opened = True
+        try:
+            while entry.error is None:
+                raw = await reader.readline()
+                if raw == b"":
+                    break
+                _LINES.inc()
+                entry.lineno += 1
+                line = raw.decode().strip()
+                if not line:
+                    continue
+                entry.buffer.append(line)
+                await self._apply_policy(key, entry)
+        except _Disconnect:
+            pass  # the error event is out; the final covers the applied prefix
         await self._drain_buffer(key, entry)
-        if entry.error is not None:
-            return
-        self._finalize(key, entry)
-        with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(
-                asyncio.shield(entry.final), timeout=self.config.drain_timeout
-            )
+        await self._end(key, entry)
 
     # -- durable connections -------------------------------------------------
 
@@ -718,8 +741,6 @@ class ReproServer:
         lication and reordering are *detected* -- duplicates are dropped
         idempotently, gaps park the session and the client re-syncs from
         the server's watermark on the next connect."""
-        from repro.serve.session import session_key
-
         key = session_key(tenant, session)
         entry = self._entries.get(key)
         if entry is not None:
@@ -757,22 +778,13 @@ class ReproServer:
             self._write_event(writer, ev)
         with TRACER.span("serve.session.durable", tenant=tenant,
                          session=session):
-            try:
-                status = await self._serve_durable_stream(reader, entry)
-            except _Disconnect:
-                self._finalize(key, entry)
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        asyncio.shield(entry.final),
-                        timeout=self.config.drain_timeout,
-                    )
-                status = "done"
+            parked = await self._serve_durable_stream(reader, entry)
         if self._draining:
             return
-        if status == "parked":
+        if parked:
             self._park(entry)
             return
-        # done or error: the session is over for good
+        # the outcome is known: the session is over for good
         self._publish(entry, event_closed(tenant, session,
                                           entry.state.acked))
         with contextlib.suppress(Exception):
@@ -780,33 +792,25 @@ class ReproServer:
         self._close_entry(key, entry)
 
     async def _serve_durable_stream(self, reader: asyncio.StreamReader,
-                                    entry: _Entry) -> str:
-        """Read framed records until end-of-stream; returns ``"done"``
-        (final delivered), ``"error"`` (session failed) or ``"parked"``
+                                    entry: _Entry) -> bool:
+        """Read framed records until end-of-stream and wait for the
+        session's outcome; ``True`` means the session parks instead
         (connection lost / protocol violation -- resume expected)."""
         key = entry.state.key
-        if not entry.ended:
-            try:
-                parked = await self._read_durable_frames(reader, entry)
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                return "parked"
-            if parked:
-                return "parked"
-        if entry.error is not None:
-            return "error"
-        await self._drain_buffer(key, entry)
-        if entry.error is not None:
-            return "error"
-        if entry.dur is not None and not entry.final.done():
-            entry.dur.log_end()
-        if not entry.finalizing and not entry.final.done():
-            self._finalize(key, entry)
-        with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(
-                asyncio.shield(entry.final),
-                timeout=self.config.drain_timeout,
-            )
-        return "error" if entry.error is not None else "done"
+        try:
+            if not entry.ended:
+                if await self._read_durable_frames(reader, entry):
+                    return True
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            return True
+        except _Disconnect:
+            pass  # the error event is out; the final covers the applied prefix
+        else:
+            await self._drain_buffer(key, entry)
+            if entry.dur is not None and not entry.outcome.done():
+                entry.dur.log_end()
+        await self._end(key, entry)
+        return False
 
     async def _read_durable_frames(self, reader: asyncio.StreamReader,
                                    entry: _Entry) -> bool:
@@ -835,12 +839,10 @@ class ReproServer:
                     if not isinstance(header, dict):
                         raise ValueError("header is not an object")
                 except (json.JSONDecodeError, ValueError) as exc:
-                    ev = event_error(
+                    self._fail(entry, event_error(
                         state.tenant, state.session, 0, "protocol",
                         f"bad durable stream header ({exc})",
-                    )
-                    entry.error = ev
-                    self._publish(entry, ev)
+                    ))
                     return False
                 entry.header = header
                 entry.dur.log_header(
@@ -964,7 +966,6 @@ class ReproServer:
 
         entry = self._admit(tenant, session, writer=None, push=push)
         key = entry.state.key
-        opened = False
         lineno = 0
         retry = retry or Backoff(base=poll_interval, max_retries=10)
 
@@ -1043,7 +1044,7 @@ class ReproServer:
                 line = raw.strip()
                 if not line:
                     continue
-                if not opened:
+                if not entry.opened:
                     try:
                         header = json.loads(line)
                     except json.JSONDecodeError as exc:
@@ -1057,7 +1058,7 @@ class ReproServer:
                     self.pool.open_session(key, tenant, session, header,
                                            predicate,
                                            self._session_opts(tenant))
-                    opened = True
+                    entry.opened = True
                     continue
                 entry.lineno = lineno
                 entry.buffer.append(line)
@@ -1068,17 +1069,10 @@ class ReproServer:
                 if entry.error is not None:
                     break
         await self._drain_buffer(key, entry)
-        final = None
-        if entry.error is None and opened:
-            self._finalize(key, entry)
-            with contextlib.suppress(asyncio.TimeoutError):
-                final = await asyncio.wait_for(
-                    asyncio.shield(entry.final),
-                    timeout=self.config.drain_timeout,
-                )
+        outcome = await self._end(key, entry)
         self._publish(entry, event_closed(tenant, session, entry.state.acked))
         self._close_entry(key, entry)
-        return final
+        return None if entry.error is not None else outcome
 
 
 class _Disconnect(Exception):

@@ -150,28 +150,20 @@ class WorkerSupervisor:
         if entry is None:
             return
         state = entry.state
+
+        def lost(message: str) -> None:
+            _LOST.inc()
+            server._fail(entry, event_error(
+                state.tenant, state.session, state.acked, "worker-crash",
+                message))
+
         if not entry.durable or entry.dur is None or not entry.opened:
             # nothing on disk to replay from: the session is lost
-            _LOST.inc()
-            ev = event_error(
-                state.tenant, state.session, state.acked, "worker-crash",
+            return lost(
                 f"detection worker {reason}; session state was not durable "
-                f"(start the server with --durable to survive this)",
-            )
-            entry.error = ev
-            server._publish(entry, ev)
-            entry.credit.set()
-            return
+                f"(start the server with --durable to survive this)")
         if target is None:
-            _LOST.inc()
-            ev = event_error(
-                state.tenant, state.session, state.acked, "worker-crash",
-                "no surviving worker shard to move the session to",
-            )
-            entry.error = ev
-            server._publish(entry, ev)
-            entry.credit.set()
-            return
+            return lost("no surviving worker shard to move the session to")
         if target != state.shard:
             server.pool.pin(key, target)
             state.shard = target
@@ -187,15 +179,7 @@ class WorkerSupervisor:
             # would leave every OTHER shard unwatched)
             rec = None
         if rec is None:
-            _LOST.inc()
-            ev = event_error(
-                state.tenant, state.session, state.acked, "worker-crash",
-                "durable state unreadable after worker crash",
-            )
-            entry.error = ev
-            server._publish(entry, ev)
-            entry.credit.set()
-            return
+            return lost("durable state unreadable after worker crash")
         entry.restoring = True
         server.pool.restore(
             key, state.tenant, state.session, entry.header,
@@ -206,6 +190,6 @@ class WorkerSupervisor:
         )
         # feeds that died in the old worker's queue were replayed from the
         # WAL; a finalize that died with them must be re-issued
-        if entry.finalizing and not entry.final.done():
+        if entry.finalizing and not entry.outcome.done():
             entry.finalizing = False
             server._finalize(key, entry)

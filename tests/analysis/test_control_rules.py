@@ -7,7 +7,7 @@ from repro.analysis.control import analyze_control
 from repro.analysis.findings import Report
 from repro.analysis.runner import _underlying_deposet
 from repro.cli import parse_predicate
-from repro.core import find_overlapping_intervals, overlap
+from repro.core import overlap
 from repro.predicates import FalseInterval, false_intervals
 from repro.trace.io import deposet_to_dict
 from repro.workloads import (
@@ -16,6 +16,7 @@ from repro.workloads import (
     random_server_trace,
 )
 
+from ..oracles import find_overlapping_intervals
 from .conftest import parse_clean
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core import (
     control_disjunctive,
     crossable,
-    find_overlapping_intervals,
     is_feasible,
     overlap,
 )
@@ -15,6 +14,8 @@ from repro.errors import NoControllerExistsError
 from repro.predicates import FalseInterval, false_intervals
 from repro.trace import ComputationBuilder
 from repro.workloads import availability_predicate, random_deposet
+
+from ..oracles import find_overlapping_intervals
 
 
 def patterns(*seqs):

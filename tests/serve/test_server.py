@@ -8,6 +8,7 @@ contaminate each other, and neither can backpressure on a neighbour.
 
 import asyncio
 import json
+import os
 
 import pytest
 
@@ -217,6 +218,41 @@ def test_drain_finalizes_inflight_sessions(unix_sock):
     assert final["seq"] == applied
     one_of(events, "closed")
     assert stats["open_sessions"] == 1  # taken before the forced close
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+def test_drain_does_not_wait_for_a_hello_only_connection(
+        tmp_path, unix_sock, workers, durable):
+    """A client that sent only its hello (then went silent) never opened
+    a session on a worker: there is no outcome to wait for, so drain()
+    must not sit out drain_timeout, and a durable one leaves no residue."""
+    root = tmp_path / "dur"
+
+    async def scenario():
+        server = ReproServer(ServeConfig(unix=unix_sock, workers=workers,
+                                         durable_dir=str(root)))
+        await server.start()
+        reader, writer = await open_connection(f"unix:{unix_sock}")
+        hello = {"format": SERVE_FORMAT, "t": "hello", "tenant": "t",
+                 "session": "quiet", "predicate": PREDICATE,
+                 "durable": durable}
+        writer.write((json.dumps(hello) + "\n").encode())
+        await writer.drain()
+        for _ in range(200):  # until the server admitted the session
+            if server._entries:
+                break
+            await asyncio.sleep(0.01)
+        assert server._entries
+        t0 = asyncio.get_running_loop().time()
+        await server.drain()
+        elapsed = asyncio.get_running_loop().time() - t0
+        writer.close()
+        return elapsed
+
+    elapsed = run(scenario())
+    assert elapsed < 1.0, f"drain() took {elapsed:.2f}s"
+    assert [f for _, _, files in os.walk(root) for f in files] == []
 
 
 def test_server_metrics_are_populated(unix_sock):

@@ -10,6 +10,7 @@ the suite fast while still landing the kill mid-stream.
 import asyncio
 import os
 import signal
+import time
 
 import pytest
 
@@ -109,13 +110,18 @@ def test_kill9_worker_non_durable_session_fails_typed(tmp_path):
             batch=2, heartbeat_interval=0.05, restart_backoff=0.01,
             tenant_opts={"t": {"delay_per_record": 0.01}})
         kill = asyncio.ensure_future(kill_session_shard(srv))
+        t0 = time.perf_counter()
         evs = await stream_events(connect, "t", "s", PREDICATE, doc,
                                   timeout=30.0)
+        elapsed = time.perf_counter() - t0
         await kill
         await srv.drain()
-        return evs
+        return evs, elapsed
 
-    evs = run(body())
+    evs, elapsed = run(body())
+    # the error is the session's outcome: ``closed`` and EOF follow it at
+    # once instead of after drain_timeout (30 s)
+    assert elapsed < 5.0, f"stream_events took {elapsed:.2f}s"
     errors = [e for e in evs if e.get("e") == "error"]
     assert errors and errors[-1]["code"] == "worker-crash"
     assert "durable" in errors[-1]["message"]
