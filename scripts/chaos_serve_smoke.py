@@ -37,6 +37,7 @@ import asyncio
 import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -238,8 +239,7 @@ def vanished_clients_phase(tmp):
             os.killpg(server.pid, signal.SIGKILL)
 
 
-def main():
-    tmp = tempfile.mkdtemp(prefix="repro-chaos-serve-")
+def chaos_phases(tmp):
     sock = os.path.join(tmp, "serve.sock")
     durable = os.path.join(tmp, "durable")
     server = start_server(
@@ -310,6 +310,14 @@ def main():
     server_kill9_phase(tmp, doc, expected)
     vanished_clients_phase(tmp)
     print("chaos serve smoke OK")
+
+
+def main():
+    tmp = tempfile.mkdtemp(prefix="repro-chaos-serve-")
+    try:
+        chaos_phases(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 if __name__ == "__main__":

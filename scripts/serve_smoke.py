@@ -27,6 +27,7 @@ import asyncio
 import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -80,8 +81,7 @@ def wait_for_socket(path, proc, deadline=30):
     sys.exit("server never created its socket")
 
 
-def main():
-    tmp = tempfile.mkdtemp(prefix="repro-serve-smoke-")
+def smoke(tmp):
     sock = os.path.join(tmp, "serve.sock")
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--listen", f"unix:{sock}",
@@ -254,6 +254,14 @@ def main():
     finally:
         if server.poll() is None:
             server.kill()
+
+
+def main():
+    tmp = tempfile.mkdtemp(prefix="repro-serve-smoke-")
+    try:
+        smoke(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ See ``examples/`` for the paper's Figure-4 walkthrough, the mutual
 exclusion evaluation, and the NP-hardness demonstration.
 """
 
-from repro.causality import CausalOrder, StateRef, VectorClock
+from repro.causality import CausalOrder, StateRef
 from repro.core import (
     ControlRelation,
     OfflineResult,
@@ -129,7 +129,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     # causality
-    "CausalOrder", "StateRef", "VectorClock",
+    "CausalOrder", "StateRef",
     # trace model & storage
     "ComputationBuilder", "CutLattice", "Deposet", "MessageArrow",
     "TraceStore", "CausalIndex",

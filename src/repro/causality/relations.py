@@ -11,12 +11,15 @@ therefore:
 1. builds the **event graph**: per-process event chains plus one edge per
    arrow (message or control, uniformly): ``leave(src_state) ->
    enter(dst_state)``;
-2. checks acyclicity there (Kahn's algorithm) -- this is the paper's
-   "control relation does not interfere with ->", and coincides with
-   "replayable without deadlock";
-3. derives per-state vector clocks ``V(s)[k] = max{a : s_{k,a} -> s}``
-   (``->`` strict: ``s_{k,a}`` *completed* before ``s`` was *entered*),
-   giving O(1) state-level queries:
+2. derives per-state vector clocks ``V(s)[k] = max{a : s_{k,a} -> s}``
+   (``->`` strict: ``s_{k,a}`` *completed* before ``s`` was *entered*) in
+   one Kahn pass from the start states: each event writes the clock of
+   the state it enters (:meth:`CausalOrder._enter`);
+3. checks acyclicity in the same pass -- events Kahn never reaches lie on
+   or below a cycle.  This is the paper's "control relation does not
+   interfere with ->", and coincides with "replayable without deadlock".
+
+The state clocks give O(1) state-level queries:
 
    ``s_{i,a} -> s_{j,b}``  iff  ``i == j and a < b``, or
    ``i != j and a <= V(s_{j,b})[i]``.
@@ -26,6 +29,10 @@ pairwise concurrent: ``V(cut[j])[i] < cut[i]`` for all ``i != j``.  The
 strict inequality implements the paper's state-based reading: a cut holding
 both a sender's pre-send state and the receiver's post-receive state cannot
 occur.
+
+The incremental :class:`repro.store.CausalIndex` reuses the same
+propagation over the downstream cone of an inserted arrow, and the same
+entered-state formula for an appended event.
 """
 
 from __future__ import annotations
@@ -66,6 +73,33 @@ Arrow = Tuple[StateRef, StateRef]
 EventRef = Tuple[int, int]  # (proc, event index); event e leaves state e
 
 
+def check_arrow(counts: Sequence[int], src: StateRef, dst: StateRef) -> None:
+    """Reject an arrow that is not well-formed against ``counts`` states
+    per process: a missing endpoint, a final-state source (D2), a
+    start-state target (D1), or a same-process arrow pointing backwards."""
+    for ref in (src, dst):
+        p, i = ref
+        if not (0 <= p < len(counts)):
+            raise MalformedTraceError(f"arrow endpoint {ref!r}: no such process")
+        if not (0 <= i < counts[p]):
+            raise MalformedTraceError(f"arrow endpoint {ref!r}: no such state")
+    (sp, si), (dp, di) = src, dst
+    if si > counts[sp] - 2:
+        raise MalformedTraceError(
+            f"arrow source {src!r} is a final state: it never "
+            f"completes, so the arrow could never be satisfied (D2)"
+        )
+    if di < 1:
+        raise MalformedTraceError(
+            f"arrow target {dst!r} is a start state: it is entered "
+            f"before anything can be waited for (D1)"
+        )
+    if sp == dp and si >= di:
+        raise MalformedTraceError(
+            f"same-process arrow {src!r} -> {dst!r} points backwards"
+        )
+
+
 class CausalOrder:
     """O(1) happened-before queries over a (possibly extended) deposet.
 
@@ -93,17 +127,25 @@ class CausalOrder:
     MalformedTraceError
         If an arrow references a nonexistent state or event, or points
         backwards within one process.
+
+    >>> order = CausalOrder([2, 2], [((0, 0), (1, 1))])
+    >>> order.concurrent((0, 1), (1, 1))
+    True
+    >>> order.is_consistent_cut([0, 1])  # s[1,1] waited for s[0,0]
+    False
+    >>> order.clock((1, 1)).tolist()
+    [0, 1]
     """
 
-    __slots__ = ("n", "state_counts", "_clocks", "_arrows")
+    __slots__ = ("n", "state_counts", "_clocks", "_arrows", "_in", "_out")
 
     def __init__(
         self,
         state_counts: Sequence[int],
         arrows: Iterable[Arrow] = (),
     ):
-        self.n = len(state_counts)
-        if self.n == 0:
+        self.n = n = len(state_counts)
+        if n == 0:
             raise MalformedTraceError("a computation needs at least one process")
         self.state_counts: Tuple[int, ...] = tuple(int(m) for m in state_counts)
         for i, m in enumerate(self.state_counts):
@@ -115,102 +157,99 @@ class CausalOrder:
         self._arrows: List[Arrow] = [
             (StateRef(*a), StateRef(*b)) for a, b in arrows
         ]
-        self._validate_arrows()
-        #: per-process state-clock matrices, shape (m_i, n), dtype int32
-        self._clocks: List[np.ndarray] = self._compute_clocks()
+        # Event-graph adjacency over cross-state edges (the in-process
+        # chain is implicit): leave(src) -> enter(dst).  Values are
+        # tuples, replaced rather than mutated, so clones copy only the dicts.
+        self._in: Dict[EventRef, Tuple[EventRef, ...]] = {}
+        self._out: Dict[EventRef, Tuple[EventRef, ...]] = {}
+        for src, dst in self._arrows:
+            check_arrow(self.state_counts, src, dst)
+            self._link(src, dst)
+        #: per-process state-clock matrices, shape (m_i, n), dtype int32;
+        #: start states are the only seeds, every other row is entered.
+        self._clocks: List[np.ndarray] = []
+        for j, m in enumerate(self.state_counts):
+            rows = np.full((m, n), -1, dtype=np.int32)
+            rows[0, j] = 0
+            self._clocks.append(rows)
+        self._propagate(dict.fromkeys(range(n), 0))
 
     # -- construction ------------------------------------------------------
 
-    def _validate_arrows(self) -> None:
-        for src, dst in self._arrows:
-            for ref in (src, dst):
-                if not (0 <= ref.proc < self.n):
-                    raise MalformedTraceError(f"arrow endpoint {ref!r}: no such process")
-                if not (0 <= ref.index < self.state_counts[ref.proc]):
-                    raise MalformedTraceError(f"arrow endpoint {ref!r}: no such state")
-            if src.index > self.state_counts[src.proc] - 2:
-                raise MalformedTraceError(
-                    f"arrow source {src!r} is a final state: it never "
-                    f"completes, so the arrow could never be satisfied (D2)"
-                )
-            if dst.index < 1:
-                raise MalformedTraceError(
-                    f"arrow target {dst!r} is a start state: it is entered "
-                    f"before anything can be waited for (D1)"
-                )
-            if src.proc == dst.proc and src.index >= dst.index:
-                raise MalformedTraceError(
-                    f"same-process arrow {src!r} -> {dst!r} points backwards"
-                )
+    def _link(self, src: StateRef, dst: StateRef) -> None:
+        """Add the event edge ``leave(src) -> enter(dst)`` of one arrow."""
+        (sp, si), (dp, di) = src, dst
+        src_ev: EventRef = (sp, si)
+        dst_ev: EventRef = (dp, di - 1)
+        if src_ev == dst_ev:
+            return  # complete(s) == enter(s+1): trivially satisfied
+        self._out[src_ev] = self._out.get(src_ev, ()) + (dst_ev,)
+        self._in[dst_ev] = self._in.get(dst_ev, ()) + (src_ev,)
 
-    def _compute_clocks(self) -> List[np.ndarray]:
-        n = self.n
-        counts = self.state_counts
-        event_counts = [m - 1 for m in counts]
+    def _enter(
+        self, p: int, e: int, sources: Iterable[EventRef], row: np.ndarray
+    ) -> None:
+        """Write into ``row`` the clock of the state entered by event
+        ``(p, e)``, given the source events of its incoming arrows.
 
-        # Event clocks: EC[i][e][k] = max event index of process k that
-        # happens-before-or-equals event (i, e); -1 when none.
-        ec = [np.full((max(m, 1), n), -1, dtype=np.int32) for m in event_counts]
+        ``V(s_{p,e+1})`` is the left state's clock joined with each source
+        event's clock, and ``e + 1`` on the own component.  A source event
+        ``(q, f)`` has clock ``V(s_{q,f+1})`` with component ``q`` at
+        ``f`` (the diagonal convention undone), hence the ``keep``.
+        """
+        clocks = self._clocks
+        row[...] = clocks[p][e]
+        for q, f in sources:
+            keep = max(int(row[q]), f)
+            np.maximum(row, clocks[q][f + 1], out=row)
+            row[q] = keep
+        row[p] = e + 1
 
-        incoming: Dict[EventRef, List[EventRef]] = {}
-        outgoing: Dict[EventRef, List[EventRef]] = {}
-        indeg = [np.zeros(max(m, 1), dtype=np.int32) for m in event_counts]
-        for src, dst in self._arrows:
-            src_ev: EventRef = (src.proc, src.index)          # leave(src)
-            dst_ev: EventRef = (dst.proc, dst.index - 1)      # enter(dst)
-            if src_ev == dst_ev:
-                continue  # complete(s) == enter(s+1): trivially satisfied
-            incoming.setdefault(dst_ev, []).append(src_ev)
-            outgoing.setdefault(src_ev, []).append(dst_ev)
-            indeg[dst_ev[0]][dst_ev[1]] += 1
-        for i in range(n):
-            if event_counts[i] > 1:
-                indeg[i][1:event_counts[i]] += 1  # in-process chain
+    def _row(self, p: int, b: int) -> np.ndarray:
+        """State ``(p, b)``'s clock row, to be overwritten."""
+        return self._clocks[p][b]
 
-        ready: deque[EventRef] = deque(
-            (i, 0) for i in range(n) if event_counts[i] > 0 and indeg[i][0] == 0
-        )
-        done = 0
-        total = sum(event_counts)
+    def _propagate(self, start: Dict[int, int]) -> None:
+        """Recompute the entered-state clock of every event from
+        ``(p, start[p])`` onwards on each process ``p``, in topological
+        order (Kahn's algorithm, one cursor per process).
+
+        The region must be closed under successors (the whole graph, or
+        the downstream cone of a new edge); clocks outside it are inputs.
+        Raises :class:`CycleError` naming every event on a cycle or
+        downstream of one.
+        """
+        out = self._out
+        inn = self._in
+        ends = [m - 1 for m in self.state_counts]
+        # Unprocessed in-region sources per event (the chain edge is the
+        # cursor itself).
+        pending: Dict[EventRef, int] = {}
+        for p, s in start.items():
+            for e in range(s, ends[p]):
+                for q, f in inn.get((p, e), ()):
+                    if f >= start.get(q, ends[q]):
+                        pending[p, e] = pending.get((p, e), 0) + 1
+        cursor = dict(start)
+        ready = deque(start)
         while ready:
-            ev = ready.popleft()
-            i, e = ev
-            row = ec[i][e]
-            if e > 0:
-                np.maximum(row, ec[i][e - 1], out=row)
-            for src_ev in incoming.get(ev, ()):
-                np.maximum(row, ec[src_ev[0]][src_ev[1]], out=row)
-            row[i] = e
-            done += 1
-            if e + 1 < event_counts[i]:
-                indeg[i][e + 1] -= 1
-                if indeg[i][e + 1] == 0:
-                    ready.append((i, e + 1))
-            for dst_ev in outgoing.get(ev, ()):
-                indeg[dst_ev[0]][dst_ev[1]] -= 1
-                if indeg[dst_ev[0]][dst_ev[1]] == 0:
-                    ready.append(dst_ev)
-
-        if done != total:
-            remaining = [
-                (i, e)
-                for i in range(n)
-                for e in range(event_counts[i])
-                if indeg[i][e] > 0
-            ]
+            p = ready.popleft()
+            e = cursor[p]
+            while e < ends[p] and not pending.get((p, e)):
+                ev = (p, e)
+                self._enter(p, e, inn.get(ev, ()), self._row(p, e + 1))
+                for d in out.get(ev, ()):
+                    pending[d] -= 1
+                    q, f = d
+                    if not pending[d] and q != p and cursor[q] == f:
+                        ready.append(q)
+                e += 1
+            cursor[p] = e
+        remaining = [
+            (p, e) for p in sorted(cursor) for e in range(cursor[p], ends[p])
+        ]
+        if remaining:
             raise CycleError(remaining)
-
-        # State clocks: state (j, b) for b >= 1 was entered by event
-        # (j, b-1); its clock is that event's clock, with the convention
-        # V(s)[proc(s)] = index(s).  State (j, 0) has the zero clock.
-        clocks = [np.full((m, n), -1, dtype=np.int32) for m in counts]
-        for j in range(n):
-            if counts[j] > 1:
-                clocks[j][1:, :] = ec[j][: counts[j] - 1, :]
-                # EC[j][b-1][j] = b-1 (the entering event itself); the
-                # convention for the state's own component is its index.
-            clocks[j][:, j] = np.arange(counts[j], dtype=np.int32)
-        return clocks
 
     # -- queries -----------------------------------------------------------
 

@@ -1,21 +1,21 @@
 """Incremental causality: the index layer of the trace stack.
 
-:class:`~repro.causality.relations.CausalOrder` is batch-only -- every
-vector clock is recomputed from scratch on construction, so extending a
-trace by one event or one control arrow costs a full Kahn pass over the
-event graph.  :class:`CausalIndex` keeps the exact same query API (it *is*
-a ``CausalOrder``) while supporting the two mutations a streaming trace
-store needs:
+:class:`~repro.causality.relations.CausalOrder` computes every vector clock
+with one propagation: Kahn's algorithm over a region of the event graph,
+writing each event's entered-state clock with one formula.  Construction
+runs it over the whole graph.  :class:`CausalIndex` keeps the exact same
+query API (it *is* a ``CausalOrder``) and supports the two mutations a
+streaming trace store needs:
 
 * :meth:`append_event` -- one new event arriving in **causal delivery
   order** (every arrow source already completed).  The new state's clock
-  is ``max`` over its predecessors' clocks: O(n) per event, the classic
+  is the entered-state formula applied once: O(n) per event, the classic
   Fidge/Mattern maintenance.
 * :meth:`insert_arrows` / :meth:`extended` -- a new arrow between existing
   states (a control arrow, or a message attached after the fact).  Only
   the **downstream cone** of the arrow's target event can change, so the
-  index re-runs Kahn's propagation restricted to that cone instead of the
-  whole graph.
+  index runs the same propagation over that cone instead of the whole
+  graph.
 
 Sharing discipline
 ------------------
@@ -29,17 +29,19 @@ makes the append fast path safe without locks or copies.
 
 Equality with the batch order -- clocks, happened-before / concurrency /
 consistency answers, and ``CycleError`` payloads -- is pinned by the
-hypothesis suite in ``tests/store/test_causal_index.py``.
+hypothesis suite in ``tests/store/test_causal_index.py``, which also
+checks both against a brute-force reachability oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.causality.relations import Arrow, CausalOrder, CycleError, EventRef, StateRef
+from repro.causality.relations import (
+    Arrow, CausalOrder, CycleError, EventRef, StateRef, check_arrow,
+)
 from repro.errors import MalformedTraceError
 from repro.obs.metrics import METRICS
 
@@ -57,7 +59,7 @@ class CausalIndex(CausalOrder):
     given counts and arrows); the instance can then grow in place.
     """
 
-    __slots__ = ("_in", "_out", "_appendable", "_owned", "_watermark")
+    __slots__ = ("_appendable", "_owned", "_watermark")
 
     def __init__(
         self,
@@ -65,14 +67,11 @@ class CausalIndex(CausalOrder):
         arrows: Iterable[Arrow] = (),
         appendable: bool = True,
     ):
-        super().__init__(state_counts, arrows)
-        # Lazy adjacency over *events* (built on first arrow insert; the
-        # append fast path never needs it unless it already exists).
-        self._in: Optional[Dict[EventRef, List[EventRef]]] = None
-        self._out: Optional[Dict[EventRef, List[EventRef]]] = None
         self._appendable = appendable
-        self._owned = [True] * self.n
-        self._watermark = [0] * self.n
+        # Set before the build: its row writes go through _row.
+        self._owned = [True] * len(state_counts)
+        self._watermark = [0] * len(state_counts)
+        super().__init__(state_counts, arrows)
 
     @classmethod
     def from_order(cls, order: CausalOrder) -> "CausalIndex":
@@ -83,14 +82,15 @@ class CausalIndex(CausalOrder):
 
     def _clone_shared(self, appendable: bool) -> "CausalIndex":
         """A twin sharing clock matrices; both sides lose row ownership so
-        any subsequent in-place cone update copies before writing."""
+        any subsequent in-place cone update copies before writing.  Either
+        side may add edges, so each gets its own adjacency dicts."""
         twin = CausalIndex.__new__(CausalIndex)
         twin.n = self.n
         twin.state_counts = self.state_counts
         twin._clocks = list(self._clocks)
         twin._arrows = list(self._arrows)
-        twin._in = None
-        twin._out = None
+        twin._in = dict(self._in)
+        twin._out = dict(self._out)
         twin._appendable = appendable
         twin._owned = [False] * self.n
         twin._watermark = [0] * self.n
@@ -162,34 +162,23 @@ class CausalIndex(CausalOrder):
             raise MalformedTraceError(f"no process {proc}")
         counts = self.state_counts
         m = counts[proc]  # index of the state being entered
-        row = self._clocks[proc][m - 1].copy()  # V(previous state)
-        srcs: List[StateRef] = []
-        for src in sources:
-            src = StateRef(*src)
-            if not (0 <= src.proc < n):
-                raise MalformedTraceError(f"arrow endpoint {src!r}: no such process")
-            if src.proc == proc:
-                if src.index >= m:
-                    raise MalformedTraceError(
-                        f"same-process arrow {src!r} -> s[{proc},{m}] points backwards"
-                    )
-                # Subsumed by the in-process chain: no clock contribution.
-            else:
-                if not (0 <= src.index < counts[src.proc]):
-                    raise MalformedTraceError(f"arrow endpoint {src!r}: no such state")
-                if src.index > counts[src.proc] - 2:
+        after = counts[:proc] + (m + 1,) + counts[proc + 1 :]
+        dst = StateRef(proc, m)
+        incoming: Sequence[EventRef] = ()
+        if sources:
+            srcs = [StateRef(*src) for src in sources]
+            for src in srcs:
+                q, f = src
+                if q != proc and 0 <= q < n and f == counts[q] - 1:
                     raise MalformedTraceError(
                         f"arrow source {src!r} has not completed yet; streaming "
                         f"appends must arrive in causal delivery order (D2)"
                     )
-                # Event clock of leave(src): state clock of src.index+1 with
-                # the diagonal convention undone on the source component.
-                keep = max(int(row[src.proc]), src.index)
-                np.maximum(row, self._clocks[src.proc][src.index + 1], out=row)
-                row[src.proc] = keep
-            srcs.append(src)
-        row[proc] = m
-
+                check_arrow(after, src, dst)
+            for src in srcs:
+                self._arrows.append((src, dst))
+                self._link(src, dst)
+            incoming = self._in.get((proc, m - 1), ())
         arr = self._clocks[proc]
         if m >= arr.shape[0]:  # grow capacity (amortised O(1) appends)
             grown = np.full((max(8, 2 * arr.shape[0]), n), -1, dtype=np.int32)
@@ -197,42 +186,13 @@ class CausalIndex(CausalOrder):
             self._clocks[proc] = arr = grown
             self._owned[proc] = True
             self._watermark[proc] = 0
-        arr[m] = row
-        self.state_counts = counts[:proc] + (m + 1,) + counts[proc + 1 :]
-
-        dst = StateRef(proc, m)
-        dst_ev: EventRef = (proc, m - 1)
-        for src in srcs:
-            self._arrows.append((src, dst))
-            src_ev: EventRef = (src.proc, src.index)
-            if src_ev != dst_ev and self._out is not None:
-                self._out.setdefault(src_ev, []).append(dst_ev)
-                self._in.setdefault(dst_ev, []).append(src_ev)
+        # Row m lies beyond every snapshot's counts: no copy-on-write.
+        self._enter(proc, m - 1, incoming, arr[m])
+        self.state_counts = after
         _APPENDS.inc()
         return dst
 
     # -- arrow insertion (cone recompute) -----------------------------------
-
-    def _validate_arrow(self, src: StateRef, dst: StateRef) -> None:
-        for ref in (src, dst):
-            if not (0 <= ref.proc < self.n):
-                raise MalformedTraceError(f"arrow endpoint {ref!r}: no such process")
-            if not (0 <= ref.index < self.state_counts[ref.proc]):
-                raise MalformedTraceError(f"arrow endpoint {ref!r}: no such state")
-        if src.index > self.state_counts[src.proc] - 2:
-            raise MalformedTraceError(
-                f"arrow source {src!r} is a final state: it never "
-                f"completes, so the arrow could never be satisfied (D2)"
-            )
-        if dst.index < 1:
-            raise MalformedTraceError(
-                f"arrow target {dst!r} is a start state: it is entered "
-                f"before anything can be waited for (D1)"
-            )
-        if src.proc == dst.proc and src.index >= dst.index:
-            raise MalformedTraceError(
-                f"same-process arrow {src!r} -> {dst!r} points backwards"
-            )
 
     def _insert(self, arrows: Iterable[Arrow]) -> List[Arrow]:
         base = list(self._arrows)
@@ -247,7 +207,7 @@ class CausalIndex(CausalOrder):
         if not fresh:
             return fresh
         for src, dst in fresh:
-            self._validate_arrow(src, dst)
+            check_arrow(self.state_counts, src, dst)
         for src, dst in fresh:
             try:
                 self._insert_one(src, dst)
@@ -260,19 +220,6 @@ class CausalIndex(CausalOrder):
                 )  # pragma: no cover
         _INSERTS.inc(len(fresh))
         return fresh
-
-    def _ensure_adjacency(self) -> None:
-        if self._out is not None:
-            return
-        self._in = {}
-        self._out = {}
-        for a, b in self._arrows:
-            src_ev = (a.proc, a.index)
-            dst_ev = (b.proc, b.index - 1)
-            if src_ev == dst_ev:
-                continue  # complete(s) == enter(s+1): trivially satisfied
-            self._out.setdefault(src_ev, []).append(dst_ev)
-            self._in.setdefault(dst_ev, []).append(src_ev)
 
     def _insert_one(self, src: StateRef, dst: StateRef) -> None:
         src_ev: EventRef = (src.proc, src.index)
@@ -290,75 +237,30 @@ class CausalIndex(CausalOrder):
             cyclic = int(self._clocks[sp][se + 1][dp]) >= de
         if cyclic:
             raise CycleError([dst_ev])
-        self._ensure_adjacency()
         self._arrows.append((src, dst))
-        self._out.setdefault(src_ev, []).append(dst_ev)
-        self._in.setdefault(dst_ev, []).append(src_ev)
-        self._recompute_cone(dst_ev)
-
-    def _recompute_cone(self, root: EventRef) -> None:
-        """Recompute clocks of every event downstream of ``root`` (incl.)."""
-        counts = self.state_counts
-        out = self._out
-        cone = {root}
-        stack = [root]
+        self._link(src, dst)
+        # Only the downstream cone of the new edge's target can change: on
+        # each process it reaches, a suffix from its first event reached.
+        ends = [m - 1 for m in self.state_counts]
+        start: Dict[int, int] = {}
+        stack = [dst_ev]
         while stack:
             p, e = stack.pop()
-            if e + 1 < counts[p] - 1 and (p, e + 1) not in cone:
-                cone.add((p, e + 1))
-                stack.append((p, e + 1))
-            for nxt in out.get((p, e), ()):
-                if nxt not in cone:
-                    cone.add(nxt)
-                    stack.append(nxt)
-        _CONE_EVENTS.inc(len(cone))
-        # Kahn's propagation restricted to the cone (acyclic: the new edge
-        # was cycle-checked above, and the rest of the graph was acyclic).
-        inn = self._in
-        indeg: Dict[EventRef, int] = {}
-        for ev in cone:
-            p, e = ev
-            deg = 1 if e > 0 and (p, e - 1) in cone else 0
-            for s in inn.get(ev, ()):
-                if s in cone:
-                    deg += 1
-            indeg[ev] = deg
-        ready = deque(ev for ev, d in indeg.items() if d == 0)
-        processed = 0
-        while ready:
-            ev = ready.popleft()
-            self._recompute_event(ev)
-            processed += 1
-            p, e = ev
-            nxt = (p, e + 1)
-            if nxt in indeg:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-            for d in out.get(ev, ()):
-                if d in indeg:
-                    indeg[d] -= 1
-                    if indeg[d] == 0:
-                        ready.append(d)
-        if processed != len(cone):  # pragma: no cover - guarded by cycle check
-            raise CycleError([ev for ev, d in indeg.items() if d > 0])
+            first = start.get(p, ends[p])
+            if e < first:
+                start[p] = e
+                for f in range(e, first):
+                    stack.extend(self._out.get((p, f), ()))
+        _CONE_EVENTS.inc(sum(ends[p] - e for p, e in start.items()))
+        self._propagate(start)
 
-    def _recompute_event(self, ev: EventRef) -> None:
-        """Recompute the clock of the state entered by event ``ev``."""
-        p, e = ev
-        if not self._owned[p] or (e + 1) < self._watermark[p]:
+    def _row(self, p: int, b: int) -> np.ndarray:
+        if not self._owned[p] or b < self._watermark[p]:
             # A snapshot or twin can see this row: copy before writing.
             self._clocks[p] = self._clocks[p][: self.state_counts[p]].copy()
             self._owned[p] = True
             self._watermark[p] = 0
-        clocks = self._clocks
-        row = clocks[p][e].copy()  # V(state left by ev)
-        for q, f in self._in.get(ev, ()):
-            keep = max(int(row[q]), f)
-            np.maximum(row, clocks[q][f + 1], out=row)
-            row[q] = keep
-        row[p] = e + 1
-        clocks[p][e + 1] = row
+        return self._clocks[p][b]
 
     # -- queries whose implementation must respect capacity slack -----------
 

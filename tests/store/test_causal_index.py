@@ -19,6 +19,8 @@ from repro.errors import InterferenceError, MalformedTraceError
 from repro.store import CausalIndex, TraceStore
 from repro.workloads import random_deposet
 
+from ..oracles import cycle_cone, reachability_clocks
+
 SMALL = dict(n=3, events_per_proc=4, message_rate=0.4, flip_rate=0.3)
 
 
@@ -223,3 +225,135 @@ def test_freeze_isolates_snapshot_from_later_growth():
         frozen.insert_arrows([(StateRef(0, 0), StateRef(1, 1))])
     batch = CausalOrder(idx.state_counts, idx.arrows)
     assert_orders_equal(idx, batch)
+
+
+# -- append validation (one validator for batch and append) ------------------
+
+
+@pytest.mark.parametrize(
+    "proc, src",
+    [
+        (0, (0, -1)),   # negative state index on the appending process
+        (0, (0, 2)),    # the state being entered
+        (0, (0, 3)),    # beyond the state being entered
+        (0, (1, 5)),    # no such state on another process
+        (0, (1, -1)),
+        (0, (2, 0)),    # no such process
+    ],
+)
+def test_append_rejects_bad_sources_like_batch(proc, src):
+    """An appended source is judged like a batch arrow into the entered
+    state, against the counts after the append; a rejected append leaves
+    the index unchanged and still rebuildable."""
+    idx = CausalIndex([2, 2])
+    entered = StateRef(proc, idx.state_counts[proc])
+    after = list(idx.state_counts)
+    after[proc] += 1
+    with pytest.raises(MalformedTraceError) as batch_err:
+        CausalOrder(after, [(StateRef(*src), entered)])
+    with pytest.raises(MalformedTraceError) as inc_err:
+        idx.append_event(proc, [src])
+    assert str(inc_err.value) == str(batch_err.value)
+    assert idx.state_counts == (2, 2)
+    assert idx.arrows == []
+    assert_orders_equal(idx, CausalOrder(idx.state_counts, idx.arrows))
+
+
+# -- an independent oracle: reachability over the event graph ----------------
+
+
+def assert_matches_oracle(order, counts, arrows):
+    expect = reachability_clocks(counts, arrows)
+    assert tuple(order.state_counts) == tuple(counts)
+    for i in range(len(counts)):
+        assert order.clock_matrix(i).tolist() == expect[i], i
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=50_000))
+def test_batch_and_appended_orders_match_oracle(seed):
+    """CausalOrder, the deposet's index and a store grown by appends all
+    equal the brute-force reachability clocks."""
+    dep = random_deposet(seed=seed, **SMALL)
+    arrows = [(m.src, m.dst) for m in dep.messages]
+    assert cycle_cone(dep.state_counts, arrows) == []
+    assert_matches_oracle(CausalOrder(dep.state_counts, arrows), dep.state_counts, arrows)
+    assert_matches_oracle(dep.base_order, dep.state_counts, arrows)
+    store = TraceStore.from_deposet(dep)
+    assert_matches_oracle(store.index, dep.state_counts, arrows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_appends_and_inserts_match_oracle(seed):
+    """The interleaved append/insert program, judged by the oracle alone:
+    acyclic inserts leave reachability clocks; an insert the DFS finds
+    cyclic raises a CycleError naming exactly the cycle's cone."""
+    rng = random.Random(seed)
+    n = 3
+    idx = CausalIndex([1] * n)
+    counts = [1] * n
+    arrows = []
+    for _ in range(22):
+        if rng.random() < 0.65 or sum(counts) < 5:
+            proc = rng.randrange(n)
+            sources = []
+            if rng.random() < 0.4:
+                others = [p for p in range(n) if p != proc and counts[p] >= 2]
+                if others:
+                    p = rng.choice(others)
+                    sources.append((p, rng.randrange(counts[p] - 1)))
+            entered = idx.append_event(proc, sources)
+            counts[proc] += 1
+            arrows.extend((StateRef(*src), entered) for src in sources)
+        else:
+            i, j = rng.sample(range(n), 2)
+            if counts[i] < 2 or counts[j] < 2:
+                continue
+            arrow = (
+                StateRef(i, rng.randrange(counts[i] - 1)),
+                StateRef(j, rng.randrange(1, counts[j])),
+            )
+            cone = cycle_cone(counts, arrows + [arrow])
+            if cone:
+                with pytest.raises(CycleError) as caught:
+                    idx.insert_arrows([arrow])
+                assert sorted(caught.value.remaining) == cone
+                continue
+            idx.insert_arrows([arrow])
+            if arrow not in arrows:
+                arrows.append(arrow)
+        assert_matches_oracle(idx, counts, arrows)
+    assert_matches_oracle(CausalOrder(counts, arrows), counts, arrows)
+    frozen = idx.freeze()
+    assert_matches_oracle(frozen, counts, arrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_arbitrary_arrow_sets_match_oracle(seed):
+    """Arbitrary well-formed arrow sets, cyclic ones included: the batch
+    order and a one-at-a-time insert agree with the DFS on acyclicity,
+    with reachability on clocks, and with each other on the payload."""
+    rng = random.Random(seed)
+    counts = [rng.randint(2, 5) for _ in range(rng.randint(2, 4))]
+    arrows = []
+    for _ in range(rng.randint(1, 6)):
+        i, j = rng.randrange(len(counts)), rng.randrange(len(counts))
+        src = StateRef(i, rng.randrange(counts[i] - 1))
+        dst = StateRef(j, rng.randrange(1, counts[j]))
+        if i != j or src.index < dst.index:
+            arrows.append((src, dst))
+    cone = cycle_cone(counts, arrows)
+    if cone:
+        with pytest.raises(CycleError) as caught:
+            CausalOrder(counts, arrows)
+        assert caught.value.remaining == cone
+        with pytest.raises(CycleError):
+            CausalIndex(counts).insert_arrows(arrows)
+        return
+    assert_matches_oracle(CausalOrder(counts, arrows), counts, arrows)
+    idx = CausalIndex(counts)
+    for arrow in arrows:
+        idx.insert_arrows([arrow])
+    assert_matches_oracle(idx, counts, arrows)

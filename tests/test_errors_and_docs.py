@@ -54,7 +54,7 @@ def test_all_public_names_resolve():
 @pytest.mark.parametrize(
     "module_name",
     [
-        "repro.causality.vector_clock",
+        "repro.causality.relations",
         "repro.trace.builder",
     ],
 )
