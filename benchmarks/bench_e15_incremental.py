@@ -8,8 +8,10 @@ not a full Kahn pass per refresh.  Two measurements:
 * **Growing trace** -- ingest a trace event by event.  The incremental
   index extends clocks in O(n) per append; the batch baseline rebuilds
   :class:`CausalOrder` from scratch every ``CHUNK`` events (the cheapest
-  honest refresh policy available before this PR).  Work is compared via
-  deterministic counters (events processed), wall clock as the headline.
+  honest refresh policy available before the index existed).  Work is
+  compared via deterministic counters (events processed), wall clock as
+  the headline: each side's time is the median of ``REPEATS`` runs,
+  interleaved so machine drift hits both sides alike.
 * **Controller arrows** -- replay an off-line controller's build-verify
   loop: verify after each control arrow.  The batch baseline pays
   ``base.extended(arrows[:k])`` (full rebuild) per round; the index
@@ -25,6 +27,7 @@ of wall time.
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -45,6 +48,8 @@ TINY = bool(os.environ.get("E15_TINY"))
 SIZES = [(3, 12), (3, 24)] if TINY else [(4, 50), (4, 100), (4, 150)]
 #: batch baseline refreshes its clocks every CHUNK appended events
 CHUNK = 4 if TINY else 25
+#: interleaved timing repeats per size on the growing trace (median wins)
+REPEATS = 5
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_E15_INCREMENTAL.json"
 
 
@@ -95,16 +100,20 @@ def test_e15_growing_trace_incremental_vs_rebuild(benchmark):
         for n, events in SIZES:
             dep, _pred = workload(n, events)
             program = event_program(dep)
-            with METRICS.scoped() as scope:
+            inc_s, rebuild_s = [], []
+            for _ in range(REPEATS):
+                with METRICS.scoped() as scope:
+                    t0 = time.perf_counter()
+                    idx = run_incremental(dep, program)
+                    inc_s.append(time.perf_counter() - t0)
                 t0 = time.perf_counter()
-                idx = run_incremental(dep, program)
-                inc_ms = (time.perf_counter() - t0) * 1e3
+                rebuilt, rebuild_work = run_chunked_rebuild(dep, program)
+                rebuild_s.append(time.perf_counter() - t0)
+            inc_ms = statistics.median(inc_s) * 1e3
+            rebuild_ms = statistics.median(rebuild_s) * 1e3
             inc_work = scope.counter("index.appends") + scope.counter(
                 "index.cone_events"
             )
-            t0 = time.perf_counter()
-            rebuilt, rebuild_work = run_chunked_rebuild(dep, program)
-            rebuild_ms = (time.perf_counter() - t0) * 1e3
             # identical clocks: the incremental index IS the batch order
             for i in range(dep.n):
                 assert np.array_equal(
@@ -114,6 +123,7 @@ def test_e15_growing_trace_incremental_vs_rebuild(benchmark):
                 n=n,
                 events=len(program),
                 chunk=CHUNK,
+                repeats=REPEATS,
                 incremental_work=inc_work,
                 rebuild_work=rebuild_work,
                 work_ratio=round(rebuild_work / max(1, inc_work), 1),

@@ -145,7 +145,7 @@ def detect_rows(sweep, stores):
 def branch_rows(sweep, stores, records, tmp):
     sql = stores["sqlite"]
     dep = sql.snapshot()
-    path = sql.backend.path
+    path = sql.path
     conn = sqlite3.connect(path)
     pages_before = conn.execute("SELECT COUNT(*) FROM pages").fetchone()[0]
     conn.close()

@@ -1,4 +1,4 @@
-"""Lint directly from a storage backend (``repro lint --store``).
+"""Lint directly from a durable trace store (``repro lint --store``).
 
 ``repro lint --store sqlite:PATH[@branch]`` opens the commit chain the
 active-debugging loop writes (PR 9), snapshots the named branch, and
@@ -50,8 +50,7 @@ def lint_store(
     carry ``{branch}@c{commit}`` locations.  Inline suppressions in the
     branch's ``obs`` block are honoured, like file-mode ``repro lint``.
     """
-    from repro.store.trace_store import TraceStore
-    from repro.storage.base import parse_store_target
+    from repro.store.trace_store import TraceStore, parse_store_target
 
     scheme, _ = parse_store_target(target)
     if scheme != "sqlite":

@@ -268,8 +268,8 @@ class CausalOrder:
         """Strict ``a -> b`` over states (a completed before b entered)."""
         (pi, ai), (pj, bj) = a, b
         if pi == pj:
-            return ai < bj
-        return ai <= self._clocks[pj][bj, pi]
+            return bool(ai < bj)
+        return bool(ai <= self._clocks[pj][bj, pi])
 
     def happened_before_eq(
         self, a: StateRef | Tuple[int, int], b: StateRef | Tuple[int, int]
@@ -291,7 +291,7 @@ class CausalOrder:
         """
         (pa, ia), (pb, ib) = a, b
         if pa == pb:
-            return ia <= ib
+            return bool(ia <= ib)
         if ia == 0:
             return True
         # enter(a) is the completion of a's predecessor state.

@@ -272,25 +272,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 f"{len(dep.control_arrows)} control arrow(s)"
             )
         if args.store:
-            from repro.storage import open_backend
             from repro.store.trace_store import TraceStore
 
-            from repro.errors import StorageError
-
-            ts = dep.timestamps
-            backend = open_backend(
-                args.store, n=dep.n,
-                start_vars=[dep.state_vars((i, 0)) for i in range(dep.n)],
-                proc_names=dep.proc_names,
-                start_times=[row[0] for row in ts] if ts is not None else None,
-            )
-            if backend.num_states != backend.n:
-                backend.close()
-                raise StorageError(
-                    f"{args.store} already holds a trace body; ingest into "
-                    f"a fresh database or fork a branch"
-                )
-            store = TraceStore.from_deposet(dep, backend=backend)
+            store = TraceStore.from_deposet(dep, args.store)
             store.obs = obs
             cid = store.commit(message=f"ingested from {args.trace}")
             print(f"{args.trace} -> {args.store} "

@@ -377,15 +377,13 @@ class DetectionSession:
                    delay_per_record=delay_per_record, lint=lint)
         blob = snap["store"]
         if isinstance(blob, dict) and "store_ref" in blob:
-            from repro.storage import open_backend
-
             ref = blob["store_ref"]
             sess.store.close()
-            sess.store = TraceStore(backend=open_backend(
+            sess.store = TraceStore.open(
                 ref["target"], branch=ref["branch"],
                 at_commit=int(ref["commit"]), reset_head=True,
                 create=False,
-            ))
+            )
             sess.store_target = ref["target"]
         else:
             sess.store = TraceStore.restore(blob)

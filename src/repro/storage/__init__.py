@@ -1,23 +1,17 @@
-"""Trace storage backends (the seam under :class:`~repro.store.TraceStore`).
+"""The durable trace store and the chain tooling around it.
 
-``storage`` holds the *engines*; ``store`` holds the user-facing façade
-and the causal index.  See :mod:`repro.storage.base` for the protocol and
-the behavioral-equivalence contract every backend must meet.
+``store`` holds :class:`~repro.store.TraceStore`, the one store class
+(in-memory by default) and the causal index; ``storage`` holds
+:class:`~repro.storage.sqlite.SqliteStore`, the commit-chain subclass
+``TraceStore.open("sqlite:PATH")`` returns, plus the chain maintenance
+verbs and the active-debugging branch recorder.
 """
 
-from repro.storage.base import (
-    IndexedBackend,
-    StorageBackend,
-    open_backend,
-    parse_store_target,
-    split_store_branch,
-)
 from repro.storage.branches import ensure_base_trace, record_control_branch
-from repro.storage.memory import MemoryBackend
 from repro.storage.sqlite import (
     DEFAULT_PAGE_SIZE,
     STORE_FORMAT,
-    SqliteBackend,
+    SqliteStore,
     chain_log,
     create_branch,
     delete_branch,
@@ -25,13 +19,10 @@ from repro.storage.sqlite import (
     init_db,
     list_branches,
 )
+from repro.store.trace_store import parse_store_target, split_store_branch
 
 __all__ = [
-    "StorageBackend",
-    "IndexedBackend",
-    "MemoryBackend",
-    "SqliteBackend",
-    "open_backend",
+    "SqliteStore",
     "parse_store_target",
     "split_store_branch",
     "STORE_FORMAT",

@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import StorageCorruptError, StorageError
-from repro.storage.base import open_backend, parse_store_target
 from repro.storage.sqlite import list_branches
+from repro.store.trace_store import TraceStore, parse_store_target
 
 __all__ = ["ensure_base_trace", "record_control_branch"]
 
@@ -30,8 +30,6 @@ def ensure_base_trace(target: str, dep: "Deposet") -> "TraceStore":
     recording a candidate onto an unrelated trace's chain would silently
     lie, so a mismatch raises :class:`~repro.errors.StorageError`.
     """
-    from repro.store.trace_store import TraceStore
-
     scheme, _path = parse_store_target(target)
     if scheme != "sqlite":
         raise StorageError(
@@ -39,19 +37,11 @@ def ensure_base_trace(target: str, dep: "Deposet") -> "TraceStore":
         )
     base = dep.without_control()
     try:
-        store = TraceStore(backend=open_backend(target))
+        store = TraceStore.open(target)
     except StorageCorruptError:
         raise
     except StorageError:  # uninitialised: no header shape recorded yet
-        ts = base.timestamps
-        backend = open_backend(
-            target,
-            n=base.n,
-            start_vars=[base.state_vars((i, 0)) for i in range(base.n)],
-            proc_names=base.proc_names,
-            start_times=[row[0] for row in ts] if ts is not None else None,
-        )
-        store = TraceStore.from_deposet(base, backend=backend)
+        store = TraceStore.from_deposet(base, target)
         store.commit(kind="append", message="base computation ingested")
         return store
     if store.snapshot().without_control() != base:

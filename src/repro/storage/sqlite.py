@@ -56,23 +56,21 @@ import os
 import sqlite3
 import zlib
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.causality.relations import StateRef
 from repro.errors import (
-    MalformedTraceError,
     StorageCorruptError,
     StorageError,
     UnknownBranchError,
 )
 from repro.obs.metrics import METRICS
 from repro.store.columns import ColumnBlock, pack_block
-from repro.store.index import CausalIndex
-from repro.storage.base import ControlArrow, IndexedBackend
+from repro.store.trace_store import TraceStore
 from repro.trace.states import MessageArrow
 
 __all__ = [
-    "SqliteBackend",
+    "SqliteStore",
     "STORE_FORMAT",
     "DEFAULT_PAGE_SIZE",
     "init_db",
@@ -215,22 +213,57 @@ def _decode_ops(row: sqlite3.Row, path: str) -> List[List[Any]]:
     return json.loads(body.decode("utf-8"))
 
 
-class SqliteBackend(IndexedBackend):
-    """Commit-chain storage behind the :class:`StorageBackend` protocol.
+class SqliteStore(TraceStore):
+    """A :class:`TraceStore` kept as a commit chain in SQLite.
 
-    Use :meth:`open` -- the constructor is the common tail of the
-    create/reopen/fork paths.
+    Open one with ``TraceStore.open("sqlite:PATH", ...)``; the
+    constructor is the common tail of the create/reopen/fork paths.  The
+    model rules are :class:`TraceStore`'s; this class overrides where
+    variables live (pages plus an uncommitted tail), journals every append
+    into the next commit's ops, and implements the chain verbs.
     """
 
     kind = "sqlite"
 
-    def __init__(self) -> None:  # pragma: no cover - use .open()
-        raise StorageError("use SqliteBackend.open(path, ...)")
+    def __init__(
+        self,
+        conn: sqlite3.Connection,
+        path: str,
+        n: int,
+        start_vars: Optional[Sequence[Dict[str, Any]]],
+        proc_names: Optional[Sequence[str]],
+        start_times: Optional[Sequence[float] | float],
+        branch: str,
+        page_size: int,
+        cache_pages: int,
+    ) -> None:
+        super().__init__(n, start_vars, proc_names, start_times)
+        self._conn: Optional[sqlite3.Connection] = conn
+        self.path = path
+        self.branch_name = branch
+        self.page_size = int(page_size)
+        self._cache_pages = int(cache_pages)
+        #: states already retrievable from pages, per process; ``_vars``
+        #: holds the states appended since the last commit
+        self._persisted = [0] * n
+        #: operations since the last commit (the next commit's ops body)
+        self._pending: List[List[Any]] = []
+        #: (proc, page) -> (pages.rowid, upto) for the open branch
+        self._page_map: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        #: LRU of decoded pages: (proc, page) -> list of var dicts
+        self._page_cache: "OrderedDict[Tuple[int, int], List[Dict[str, Any]]]" = (
+            OrderedDict()
+        )
+        #: packed-column LRU (small: blocks are built per names+prefix)
+        self._block_cache: "OrderedDict[Tuple[int, Tuple[str, ...], int], ColumnBlock]" = (
+            OrderedDict()
+        )
+        self._recording = False
 
     # -- opening --------------------------------------------------------------
 
     @classmethod
-    def open(
+    def open_path(
         cls,
         path: str,
         *,
@@ -244,15 +277,16 @@ class SqliteBackend(IndexedBackend):
         create: bool = True,
         page_size: int = DEFAULT_PAGE_SIZE,
         cache_pages: int = DEFAULT_CACHE_PAGES,
-    ) -> "SqliteBackend":
-        """Open ``path`` at ``branch``.
+    ) -> "SqliteStore":
+        """Open ``path`` at ``branch`` (``TraceStore.open`` calls this).
 
         A fresh/uninitialised database needs the header shape (``n`` at
-        least) and gets an ``init`` commit holding the start states; an
-        existing one ignores a matching shape and rejects a conflicting
-        one.  ``at_commit`` opens the branch's chain at an older commit
-        (``reset_head=True`` additionally moves the branch pointer there
-        -- the durable-restore path after a crash).
+        least) and gets an ``init`` commit holding the start states.  On
+        an existing one, a shaped open is a create too: it is refused
+        when the process count differs or the branch already holds more
+        than its start states.  ``at_commit`` opens the branch's chain at
+        an older commit (``reset_head=True`` additionally moves the branch
+        pointer there -- the durable-restore path after a crash).
         """
         exists = os.path.exists(path) and os.path.getsize(path) > 0
         if not exists and not create:
@@ -287,98 +321,49 @@ class SqliteBackend(IndexedBackend):
                     f"{path}: store has n={meta['n']} processes, "
                     f"asked to open with n={n}"
                 )
-            return cls._reopen(
+            store = cls._reopen(
                 conn, path, meta, branch, at_commit, reset_head, cache_pages,
             )
+            if n is not None and store.num_states != store.n:
+                raise StorageError(
+                    f"{path} already holds a trace body; ingest into a "
+                    f"fresh database or fork a branch"
+                )
+            return store
         except BaseException:
             conn.close()
             raise
 
     @classmethod
-    def _blank(cls, conn: sqlite3.Connection, path: str, n: int,
-               proc_names: Optional[Sequence[str]], timed: bool,
-               branch: str, page_size: int,
-               cache_pages: int) -> "SqliteBackend":
-        self = cls.__new__(cls)
-        IndexedBackend.__init__(self, n, proc_names=proc_names, timed=timed)
-        self._conn: Optional[sqlite3.Connection] = conn
-        self.path = path
-        self._branch = branch
-        self._page_size = int(page_size)
-        self._cache_pages = int(cache_pages)
-        self._head: Optional[int] = None
-        self._times: Optional[List[List[float]]] = [] if timed else None
-        #: states already retrievable from pages, per process
-        self._persisted = [0] * n
-        #: in-memory tail: states appended since the last commit
-        self._dirty_vars: List[List[Dict[str, Any]]] = [[] for _ in range(n)]
-        #: operations since the last commit (the next commit's ops body)
-        self._pending: List[List[Any]] = []
-        #: (proc, page) -> (pages.rowid, upto) for the open branch
-        self._page_map: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        #: LRU of decoded pages: (proc, page) -> list of var dicts
-        self._page_cache: "OrderedDict[Tuple[int, int], List[Dict[str, Any]]]" = (
-            OrderedDict()
-        )
-        #: packed-column LRU (small: blocks are built per names+prefix)
-        self._block_cache: "OrderedDict[Tuple[int, Tuple[str, ...], int], ColumnBlock]" = (
-            OrderedDict()
-        )
-        #: snapshots share this dict (same contract as MemoryBackend)
-        self._snapshot_cache: Dict[Any, Any] = {}
-        self._recording = False
-        return self
-
-    @classmethod
     def _create(cls, conn, path, n, start_vars, proc_names, start_times,
-                branch, page_size, cache_pages) -> "SqliteBackend":
-        if start_vars is not None and len(start_vars) != n:
-            raise MalformedTraceError(
-                f"{len(start_vars)} start assignments for {n} processes"
-            )
-        if start_times is not None and isinstance(start_times, (int, float)):
-            start_times = [float(start_times)] * n
-        if start_times is not None and len(start_times) != n:
-            raise MalformedTraceError(
-                f"{len(start_times)} start times for {n} processes"
-            )
+                branch, page_size, cache_pages) -> "SqliteStore":
         if branch != "main":
             raise StorageError(
                 "a fresh store starts on branch 'main'; fork from there"
             )
-        self = cls._blank(conn, path, n, proc_names,
-                          start_times is not None, branch, page_size,
-                          cache_pages)
+        self = cls(conn, path, n, start_vars, proc_names, start_times,
+                   branch, page_size, cache_pages)
         with conn:
             for key, value in (
                 ("n", str(n)),
-                ("proc_names", json.dumps(list(self._names))),
+                ("proc_names", json.dumps(list(self.proc_names))),
                 ("start_times", json.dumps(
-                    list(map(float, start_times))
-                    if start_times is not None else None)),
-                ("page_size", str(self._page_size)),
+                    [col[0] for col in self._times]
+                    if self._times is not None else None)),
+                ("page_size", str(self.page_size)),
             ):
                 conn.execute(
                     "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                     (key, value),
                 )
-        if start_times is not None:
-            self._times = [[float(t)] for t in start_times]
-        for i in range(n):
-            self._dirty_vars[i].append(
-                dict(start_vars[i]) if start_vars is not None else {}
-            )
         self._recording = True
         self.commit(kind="init", message="trace created")
         return self
 
     @classmethod
     def _reopen(cls, conn, path, meta, branch, at_commit, reset_head,
-                cache_pages) -> "SqliteBackend":
+                cache_pages) -> "SqliteStore":
         n = int(meta["n"])
-        proc_names = json.loads(meta.get("proc_names") or "null")
-        start_times = json.loads(meta.get("start_times") or "null")
-        page_size = int(meta.get("page_size", DEFAULT_PAGE_SIZE))
         row = conn.execute(
             "SELECT head FROM branches WHERE name = ?", (branch,)
         ).fetchone()
@@ -391,11 +376,11 @@ class SqliteBackend(IndexedBackend):
         head = int(row["head"])
         if at_commit is not None:
             head = int(at_commit)
-        self = cls._blank(conn, path, n, proc_names,
-                          start_times is not None, branch, page_size,
-                          cache_pages)
-        if start_times is not None:
-            self._times = [[float(t)] for t in start_times]
+        self = cls(conn, path, n, None,
+                   json.loads(meta.get("proc_names") or "null"),
+                   json.loads(meta.get("start_times") or "null"),
+                   branch, int(meta.get("page_size", DEFAULT_PAGE_SIZE)),
+                   cache_pages)
         rows = _chain_rows(conn, head, path)
         for crow in rows:
             self._apply_ops(_decode_ops(crow, path), crow["id"])
@@ -406,8 +391,10 @@ class SqliteBackend(IndexedBackend):
                 f"{path}: commit #{tip['id']} records counts {counts}, "
                 f"replaying its chain produced {self.state_counts}"
             )
-        self._head = head
+        self.head = head
+        # every state is in pages: no uncommitted tail
         self._persisted = list(self.state_counts)
+        self._vars = [[] for _ in range(n)]
         # Page map: later commits override earlier versions of a page.
         for crow in rows:
             for prow in conn.execute(
@@ -438,78 +425,57 @@ class SqliteBackend(IndexedBackend):
             kind = op[0]
             if kind == "ev" or kind == "recv":
                 proc, time = int(op[1]), op[2]
-                sources: List[StateRef] = []
-                if kind == "recv":
-                    src = StateRef(*op[3])
-                    sources.append(src)
-                entered = self._index.append_event(proc, sources)
+                src = StateRef(*op[3]) if kind == "recv" else None
+                entered = self.index.append_event(
+                    proc, [src] if src is not None else [])
                 if self._times is not None:
                     self._times[proc].append(
                         float(time) if time is not None
                         else self._times[proc][-1]
                     )
-                if kind == "recv":
-                    msg = MessageArrow(src, entered, payload=op[4], tag=op[5])
-                    self._messages.append(msg)
-                    self._used_events[(src.proc, src.index)] = msg
-                    self._used_events[(proc, entered.index - 1)] = msg
+                if src is not None:
+                    self._add_message(
+                        MessageArrow(src, entered, payload=op[4], tag=op[5]))
             elif kind == "msg":
-                src, dst = StateRef(*op[1]), StateRef(*op[2])
-                msg = MessageArrow(src, dst, payload=op[3], tag=op[4])
-                self._index.insert_arrows([(src, dst)])
-                self._messages.append(msg)
-                self._used_events[(src.proc, src.index)] = msg
-                self._used_events[(dst.proc, dst.index - 1)] = msg
+                msg = MessageArrow(StateRef(*op[1]), StateRef(*op[2]),
+                                   payload=op[3], tag=op[4])
+                self.index.insert_arrows([(msg.src, msg.dst)])
+                self._add_message(msg)
                 self.epoch += 1
             elif kind == "ctl":
                 arrow = (StateRef(*op[1]), StateRef(*op[2]))
-                self._index.insert_arrows([arrow])
-                self._control.append(arrow)
-                self._control_set.add(arrow)
+                self.index.insert_arrows([arrow])
+                self._add_control(arrow)
                 self.epoch += 1
             elif kind == "obs":
-                # straight to the attribute: replay must not re-journal
-                IndexedBackend.__setattr__(self, "obs", op[1])
+                self.obs = op[1]  # not recording yet: no re-journal
             else:
                 raise StorageCorruptError(
                     f"{self.path}: commit #{cid} holds unknown op {kind!r}"
                 )
 
-    # -- journaling overrides -------------------------------------------------
+    # -- journaling storage primitives ------------------------------------------
 
-    def append_state(self, proc, new_vars, *, time=None, received_from=None,
-                     payload=None, tag=None) -> StateRef:
-        entered = super().append_state(
-            proc, new_vars, time=time, received_from=received_from,
-            payload=payload, tag=tag,
-        )
-        if received_from is not None:
-            src = StateRef(*received_from)
+    def _push_state(self, proc, vars, time, src, payload, tag) -> None:
+        self._vars[proc].append(vars)
+        if src is None:
+            self._pending.append(["ev", proc, time])
+        else:
             self._pending.append([
                 "recv", proc, time, [src.proc, src.index],
                 _jsonable(payload), tag,
             ])
-        else:
-            self._pending.append(["ev", proc, time])
-        return entered
 
-    def append_message(self, src, dst, payload=None, tag=None) -> MessageArrow:
-        msg = super().append_message(src, dst, payload=payload, tag=tag)
-        self._pending.append([
-            "msg", [msg.src.proc, msg.src.index],
-            [msg.dst.proc, msg.dst.index], _jsonable(payload), tag,
-        ])
-        return msg
-
-    def append_control(self, src, dst) -> ControlArrow:
-        before = self.epoch
-        arrow = super().append_control(src, dst)
-        if self.epoch != before:  # actually inserted (not a duplicate)
+    def _push_arrow(self, arrow) -> None:
+        if isinstance(arrow, MessageArrow):
             self._pending.append([
-                "ctl", [arrow[0].proc, arrow[0].index],
-                [arrow[1].proc, arrow[1].index],
+                "msg", [arrow.src.proc, arrow.src.index],
+                [arrow.dst.proc, arrow.dst.index], _jsonable(arrow.payload),
+                arrow.tag,
             ])
-        return arrow
+        else:
+            a, b = arrow
+            self._pending.append(["ctl", [a.proc, a.index], [b.proc, b.index]])
 
     # ``obs`` journals through the chain so reopen sees it.
     @property
@@ -522,49 +488,28 @@ class SqliteBackend(IndexedBackend):
         if getattr(self, "_recording", False):
             self._pending.append(["obs", _jsonable(value)])
 
-    # -- storage primitives ---------------------------------------------------
-
-    def _push_state(self, proc: int, vars: Dict[str, Any],
-                    time: Optional[float]) -> None:
-        self._dirty_vars[proc].append(vars)
-        if self._times is not None:
-            self._times[proc].append(
-                float(time) if time is not None else self._times[proc][-1]
-            )
-
     # -- reads ---------------------------------------------------------------
 
     def state_vars(self, ref: StateRef | Tuple[int, int]) -> Dict[str, Any]:
         proc, index = ref
         persisted = self._persisted[proc]
         if index >= persisted:
-            return self._dirty_vars[proc][index - persisted]
-        page = self._load_page(proc, index // self._page_size)
-        return page[index % self._page_size]
+            return self._vars[proc][index - persisted]
+        page = self._load_page(proc, index // self.page_size)
+        return page[index % self.page_size]
 
     def latest_vars(self, proc: int) -> Dict[str, Any]:
-        if self._dirty_vars[proc]:
-            return self._dirty_vars[proc][-1]
+        if self._vars[proc]:
+            return self._vars[proc][-1]
         return self.state_vars((proc, self.state_counts[proc] - 1))
-
-    def state_time(self, ref: StateRef | Tuple[int, int]) -> Optional[float]:
-        if self._times is None:
-            return None
-        proc, index = ref
-        return self._times[proc][index]
 
     def vars_prefix(self, proc: int) -> Tuple[Dict[str, Any], ...]:
         out: List[Dict[str, Any]] = []
         persisted = self._persisted[proc]
-        for pg in range((persisted + self._page_size - 1) // self._page_size):
+        for pg in range((persisted + self.page_size - 1) // self.page_size):
             out.extend(self._load_page(proc, pg))
-        out.extend(self._dirty_vars[proc])
+        out.extend(self._vars[proc])
         return tuple(out)
-
-    def times_prefix(self, proc: int) -> Optional[Tuple[float, ...]]:
-        if self._times is None:
-            return None
-        return tuple(self._times[proc])
 
     def column_block(self, proc: int, names: Sequence[str]) -> ColumnBlock:
         key = (proc, tuple(names), self.state_counts[proc])
@@ -577,9 +522,6 @@ class SqliteBackend(IndexedBackend):
         else:
             self._block_cache.move_to_end(key)
         return block
-
-    def snapshot_cache(self) -> Dict[Any, Any]:
-        return self._snapshot_cache
 
     # -- the page cache -------------------------------------------------------
 
@@ -595,7 +537,7 @@ class SqliteBackend(IndexedBackend):
         if entry is None:
             raise StorageCorruptError(
                 f"{self.path}: no page for states "
-                f"[{pg * self._page_size}, ...) of process {proc}"
+                f"[{pg * self.page_size}, ...) of process {proc}"
             )
         rowid, upto = entry
         row = self._conn.execute(
@@ -626,20 +568,8 @@ class SqliteBackend(IndexedBackend):
 
     # -- the commit chain -----------------------------------------------------
 
-    @property
-    def head(self) -> Optional[int]:
-        return self._head
-
-    @property
-    def branch_name(self) -> Optional[str]:
-        return self._branch
-
-    @property
-    def page_size(self) -> int:
-        return self._page_size
-
-    def commit(self, kind: str = "append", message: Optional[str] = None,
-               meta: Optional[Dict[str, Any]] = None) -> Optional[int]:
+    def _commit(self, kind: str, message: Optional[str],
+                meta: Optional[Dict[str, Any]]) -> int:
         """One transaction: ops row + completed pages + branch head bump.
 
         Returns the new commit id, or the current head when there is
@@ -648,23 +578,23 @@ class SqliteBackend(IndexedBackend):
         """
         if self._conn is None:
             raise StorageError(f"{self.path}: store is closed")
-        dirty = any(self._dirty_vars[p] for p in range(self.n))
-        if not self._pending and not dirty and self._head is not None \
+        dirty = any(self._vars[p] for p in range(self.n))
+        if not self._pending and not dirty and self.head is not None \
                 and meta is None:
-            return self._head
+            return self.head
         ops_body = json.dumps(
             self._pending, separators=(",", ":"),
             default=lambda v: {"__repr__": repr(v)},
         ).encode("utf-8")
         counts = self.state_counts
-        P = self._page_size
+        P = self.page_size
         with self._conn:
             cur = self._conn.execute(
                 "INSERT INTO commits (parent, kind, message, counts, "
                 "messages, control, epoch, ops, crc, meta) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
-                    self._head, kind, message,
+                    self.head, kind, message,
                     json.dumps(list(counts)), len(self._messages),
                     len(self._control), self.epoch, ops_body, _crc(ops_body),
                     json.dumps(meta) if meta is not None else None,
@@ -684,7 +614,7 @@ class SqliteBackend(IndexedBackend):
                         list(self._load_page(proc, pg)) if lo < start else []
                     )
                     entries.extend(
-                        self._dirty_vars[proc][max(lo, start) - start:hi - start]
+                        self._vars[proc][max(lo, start) - start:hi - start]
                     )
                     body = json.dumps(
                         [{k: _jsonable(v) for k, v in d.items()}
@@ -702,19 +632,19 @@ class SqliteBackend(IndexedBackend):
                 "INSERT OR REPLACE INTO branches (name, head, forked_from) "
                 "VALUES (?, ?, COALESCE((SELECT forked_from FROM branches "
                 "WHERE name = ?), NULL))",
-                (self._branch, cid, self._branch),
+                (self.branch_name, cid, self.branch_name),
             )
         for key, rowid, entries in written:
             self._page_map[key] = (rowid, len(entries))
             self._cache_put(key, entries)
         self._persisted = list(counts)
-        self._dirty_vars = [[] for _ in range(self.n)]
+        self._vars = [[] for _ in range(self.n)]
         self._pending = []
-        self._head = cid
+        self.head = cid
         _COMMITS.inc()
         return cid
 
-    def branch(self, name: str) -> "SqliteBackend":
+    def branch(self, name: str) -> "SqliteStore":
         """Fork the current state as branch ``name`` (one row, COW).
 
         Pending appends are committed first so the fork point is a real
@@ -731,23 +661,16 @@ class SqliteBackend(IndexedBackend):
         with self._conn:
             self._conn.execute(
                 "INSERT INTO branches (name, head, forked_from) "
-                "VALUES (?, ?, ?)", (name, head, self._branch),
+                "VALUES (?, ?, ?)", (name, head, self.branch_name),
             )
-        return SqliteBackend.open(self.path, branch=name,
-                                  page_size=self._page_size,
-                                  cache_pages=self._cache_pages)
+        return SqliteStore.open_path(self.path, branch=name,
+                                     page_size=self.page_size,
+                                     cache_pages=self._cache_pages)
 
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
-
-    def __repr__(self) -> str:
-        return (
-            f"SqliteBackend({self.path!r}, branch={self._branch!r}, "
-            f"head={self._head}, states={self.state_counts}, "
-            f"epoch={self.epoch})"
-        )
 
 
 # -- chain inspection / maintenance (CLI plumbing) ----------------------------

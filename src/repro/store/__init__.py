@@ -1,8 +1,11 @@
 """The layered trace stack's storage and index layers.
 
-* :class:`TraceStore` -- append-only columnar storage for one distributed
+* :class:`TraceStore` -- append-only storage for one distributed
   computation: per-process variable/timestamp columns plus message and
   control arrows that stay appendable after construction (storage layer).
+  It is one class: the constructor builds the in-memory engine and
+  :meth:`TraceStore.open` also returns the durable SQLite subclass
+  (:class:`~repro.storage.sqlite.SqliteStore`).
 * :class:`CausalIndex` -- an incrementally-maintained
   :class:`~repro.causality.relations.CausalOrder`: O(n) clock extension
   per appended event, downstream-cone recompute per inserted arrow

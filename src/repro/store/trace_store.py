@@ -1,4 +1,4 @@
-"""Append-only trace storage: the user-facing façade of the trace stack.
+"""Append-only trace storage: the one store class of the trace stack.
 
 A :class:`TraceStore` accumulates a distributed computation as it happens:
 per-process columns of variable assignments (and optional timestamps),
@@ -10,21 +10,22 @@ simulator's recorder write into.
 
 Storage engines
 ---------------
-The store is a thin façade over a :class:`~repro.storage.base.StorageBackend`:
+``TraceStore(n, ...)`` is the columnar in-memory engine.
+:meth:`TraceStore.open` is the one opener by ``--store`` target:
+``"memory"`` builds the same in-memory store, ``"sqlite:trace.db"``
+returns a :class:`~repro.storage.sqlite.SqliteStore`, the subclass that
+persists the computation as an immutable, CRC-checked commit chain with
+branch/copy-on-write semantics, paging variable columns through a
+bounded LRU cache so traces larger than RAM stream in and out.
 
-* the default :class:`~repro.storage.memory.MemoryBackend` keeps the
-  original columnar in-memory layout;
-* :class:`~repro.storage.sqlite.SqliteBackend` (``TraceStore.open
-  ("sqlite:trace.db")``) persists the computation as an immutable,
-  CRC-checked commit chain with branch/copy-on-write semantics, paging
-  variable columns through a bounded LRU cache so traces larger than RAM
-  stream in and out.
-
-Every backend is behaviorally identical (the hypothesis suite in
-``tests/storage/`` enforces it), so nothing downstream -- snapshots,
-detection, replay, serving -- cares which engine is underneath.  The
-commit-chain verbs (:meth:`commit`, :meth:`branch`, :attr:`head`) are
-no-ops/`None` on the in-memory engine.
+Every model rule -- D1--D3 validation, message/control bookkeeping,
+control-arrow dedup, epoch bumps, the live causal index -- is implemented
+here once.  The subclass overrides only the storage primitives (where a
+state's variables live: :meth:`_push_state`, :meth:`_push_arrow`, the
+reads and the packed columns) and the chain verbs, so the engines agree
+by construction; the hypothesis suite in ``tests/storage/`` checks it.
+The commit-chain verbs (:meth:`commit`, :meth:`branch`, :attr:`head`)
+are no-ops/``None`` on the in-memory engine.
 
 Append discipline
 -----------------
@@ -45,25 +46,70 @@ the store is how one *grows*.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.causality.relations import Arrow, EventRef, StateRef
-from repro.errors import MalformedTraceError, UnknownFreezeFormatError
+from repro.errors import (
+    MalformedTraceError,
+    StorageError,
+    UnknownFreezeFormatError,
+)
 from repro.obs.metrics import METRICS
-from repro.store.columns import ColumnBlock
+from repro.store.columns import ColumnBlock, pack_block
 from repro.store.index import CausalIndex
-from repro.storage.base import StorageBackend, open_backend
-from repro.storage.memory import MemoryBackend
 from repro.trace.states import MessageArrow
 
-__all__ = ["TraceStore", "iter_delivery_events", "FREEZE_FORMAT"]
+__all__ = [
+    "TraceStore",
+    "iter_delivery_events",
+    "parse_store_target",
+    "split_store_branch",
+    "FREEZE_FORMAT",
+]
 
 ControlArrow = Tuple[StateRef, StateRef]
 
 #: version tag of :meth:`TraceStore.freeze` payloads
 FREEZE_FORMAT = "repro-freeze/1"
 
+_STATES = METRICS.counter("store.states")
+_MESSAGES = METRICS.counter("store.messages")
+_CONTROL = METRICS.counter("store.control_arrows")
 _SNAPSHOTS = METRICS.counter("store.snapshots")
+
+
+def parse_store_target(target: str) -> Tuple[str, Optional[str]]:
+    """Split a ``--store`` target into ``(scheme, path)``.
+
+    ``"memory"`` (or ``"mem"``) selects the in-memory engine;
+    ``"sqlite:PATH"`` selects the durable engine at ``PATH``.  A bare
+    path with no scheme is rejected rather than guessed -- the CLI wants
+    the user to say which engine they mean.
+    """
+    if target in ("memory", "mem"):
+        return "memory", None
+    scheme, sep, path = target.partition(":")
+    if sep and scheme == "sqlite":
+        if not path:
+            raise StorageError("sqlite store target needs a path: sqlite:PATH")
+        return "sqlite", path
+    raise StorageError(
+        f"unknown store target {target!r}; use 'memory' or 'sqlite:PATH'"
+    )
+
+
+def split_store_branch(target: str) -> Tuple[str, Optional[str]]:
+    """Split ``sqlite:PATH[@branch]`` into ``(target, branch)``.
+
+    The branch suffix is optional; ``branch`` is ``None`` when absent.
+    The *last* ``@`` wins, so paths containing ``@`` need an explicit
+    branch suffix to disambiguate.
+    """
+    head, sep, tail = target.rpartition("@")
+    if sep and head and "/" not in tail and ":" not in tail:
+        return head, tail
+    return target, None
 
 
 class TraceStore:
@@ -80,123 +126,162 @@ class TraceStore:
     start_times:
         Per-process start timestamps (or one scalar for all).  When given,
         the store tracks a timestamp column and snapshots carry it.
-    backend:
-        An already-open :class:`StorageBackend` to wrap instead of
-        creating a fresh in-memory one (the other parameters are then
-        ignored -- the backend carries the shape).  See also
-        :meth:`open`.
+
+    The constructor builds an in-memory store; see :meth:`open` for the
+    durable engine.
     """
+
+    #: engine family name (``"memory"`` / ``"sqlite"``), for messages
+    kind = "memory"
+    #: head commit id and branch of the commit chain (``None``: no chain)
+    head: Optional[int] = None
+    branch_name: Optional[str] = None
 
     def __init__(
         self,
-        n: int = 0,
+        n: int,
         start_vars: Optional[Sequence[Dict[str, Any]]] = None,
         proc_names: Optional[Sequence[str]] = None,
         start_times: Optional[Sequence[float] | float] = None,
-        *,
-        backend: Optional[StorageBackend] = None,
     ):
-        if backend is None:
-            backend = MemoryBackend(
-                n, start_vars=start_vars, proc_names=proc_names,
-                start_times=start_times,
+        if n <= 0:
+            raise MalformedTraceError(f"need at least one process, got n={n}")
+        if proc_names is not None and len(proc_names) != n:
+            raise MalformedTraceError(f"{len(proc_names)} names for {n} processes")
+        if start_vars is not None and len(start_vars) != n:
+            raise MalformedTraceError(
+                f"{len(start_vars)} start assignments for {n} processes"
             )
-        self._backend = backend
+        if start_times is not None and isinstance(start_times, (int, float)):
+            start_times = [float(start_times)] * n
+        if start_times is not None and len(start_times) != n:
+            raise MalformedTraceError(
+                f"{len(start_times)} start times for {n} processes"
+            )
+        self.n = n
+        self.proc_names: Tuple[str, ...] = (
+            tuple(proc_names) if proc_names is not None
+            else tuple(f"P{i}" for i in range(n))
+        )
+        #: per-process variable dicts held in memory: the whole column
+        #: here, the uncommitted tail on the SQLite engine
+        self._vars: List[List[Dict[str, Any]]] = [
+            [dict(start_vars[i]) if start_vars is not None else {}]
+            for i in range(n)
+        ]
+        self._times: Optional[List[List[float]]] = (
+            [[float(t)] for t in start_times] if start_times is not None
+            else None
+        )
+        self._messages: List[MessageArrow] = []
+        self._control: List[ControlArrow] = []
+        self._control_set: set = set()
+        # D3 bookkeeping: which events already carry a message.
+        self._used_events: Dict[EventRef, MessageArrow] = {}
+        #: the live causal index over the current prefix (do not mutate)
+        self.index = CausalIndex([1] * n)
+        # Packed variable columns, keyed (proc, names, prefix length);
+        # shared with every snapshot.
+        self._column_cache: Dict[Tuple[int, Tuple[str, ...], int], ColumnBlock] = {}
+        #: bumped whenever an arrow lands between *existing* states --
+        #: consumers holding incremental conclusions must re-derive them.
+        self.epoch = 0
+        self.obs: Any = None
 
     @classmethod
-    def open(cls, target: str, **kwargs: Any) -> "TraceStore":
+    def open(
+        cls,
+        target: str,
+        *,
+        n: Optional[int] = None,
+        start_vars: Optional[Sequence[Dict[str, Any]]] = None,
+        proc_names: Optional[Sequence[str]] = None,
+        start_times: Optional[Sequence[float] | float] = None,
+        **kwargs: Any,
+    ) -> "TraceStore":
         """Open (or create) a store by ``--store`` target string.
 
-        ``"memory"`` needs the shape (``n=...``); ``"sqlite:PATH"``
-        reopens an existing commit chain at ``branch`` (default
-        ``main``) or creates one when the shape is given.
+        ``"memory"`` needs the shape (``n=...``).  ``"sqlite:PATH"``
+        reopens an existing commit chain at ``branch`` (default ``main``;
+        see :class:`~repro.storage.sqlite.SqliteStore` for the other
+        keywords) or, given the shape, creates one.  A shaped open is a
+        create: it refuses a database that already holds a trace body.
         """
-        return cls(backend=open_backend(target, **kwargs))
+        scheme, path = parse_store_target(target)
+        if scheme == "sqlite":
+            from repro.storage.sqlite import SqliteStore
 
-    # -- the engine underneath ----------------------------------------------
-
-    @property
-    def backend(self) -> StorageBackend:
-        return self._backend
-
-    @property
-    def n(self) -> int:
-        return self._backend.n
-
-    @property
-    def epoch(self) -> int:
-        return self._backend.epoch
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        self._backend.epoch = value
-
-    @property
-    def obs(self) -> Any:
-        return self._backend.obs
-
-    @obs.setter
-    def obs(self, value: Any) -> None:
-        self._backend.obs = value
+            return SqliteStore.open_path(
+                path, n=n, start_vars=start_vars, proc_names=proc_names,
+                start_times=start_times, **kwargs,
+            )
+        if n is None:
+            raise StorageError("a fresh memory store needs the process count")
+        return TraceStore(n, start_vars, proc_names, start_times)
 
     # -- shape --------------------------------------------------------------
 
     @property
     def state_counts(self) -> Tuple[int, ...]:
-        return self._backend.state_counts
+        return self.index.state_counts
 
     @property
     def num_states(self) -> int:
-        return self._backend.num_states
-
-    @property
-    def proc_names(self) -> Tuple[str, ...]:
-        return self._backend.proc_names
+        return sum(self.state_counts)
 
     @property
     def messages(self) -> Tuple[MessageArrow, ...]:
-        return self._backend.messages
+        return tuple(self._messages)
 
     @property
     def control_arrows(self) -> Tuple[ControlArrow, ...]:
-        return self._backend.control_arrows
+        return tuple(self._control)
 
-    @property
-    def index(self) -> CausalIndex:
-        """The live causal index over the current prefix (do not mutate)."""
-        return self._backend.index
+    # -- reads (the SQLite engine overrides the variable reads) -------------
 
     def state_vars(self, ref: StateRef | Tuple[int, int]) -> Dict[str, Any]:
         """The variable assignment of a local state (do not mutate)."""
-        return self._backend.state_vars(ref)
+        proc, index = ref
+        return self._vars[proc][index]
 
     def latest_vars(self, proc: int) -> Dict[str, Any]:
-        return self._backend.latest_vars(proc)
+        return self._vars[proc][-1]
+
+    def vars_prefix(self, proc: int) -> Tuple[Dict[str, Any], ...]:
+        """All of ``proc``'s variable assignments, materialised."""
+        return tuple(self._vars[proc])
 
     def column_block(self, proc: int, names: Sequence[str]) -> ColumnBlock:
         """Packed columns of ``proc``'s current state prefix (cached).
 
         Detection over snapshots hits the same cache (snapshots share the
         store's cache dict), so repeated detect calls over a growing trace
-        pay one pack per (variable set, prefix length).
+        pay one pack per (variable set, prefix length).  State dicts are
+        append-only, so a block packed for one prefix stays valid forever.
         """
-        return self._backend.column_block(proc, names)
+        states = self._vars[proc]
+        key = (proc, tuple(names), len(states))
+        block = self._column_cache.get(key)
+        if block is None:
+            block = pack_block(states[: key[2]], key[1])
+            self._column_cache[key] = block
+        return block
 
     def state_time(self, ref: StateRef | Tuple[int, int]) -> Optional[float]:
-        return self._backend.state_time(ref)
-
-    def vars_prefix(self, proc: int) -> Tuple[Dict[str, Any], ...]:
-        """All of ``proc``'s variable assignments, materialised."""
-        return self._backend.vars_prefix(proc)
+        if self._times is None:
+            return None
+        proc, index = ref
+        return self._times[proc][index]
 
     def times_prefix(self, proc: int) -> Optional[Tuple[float, ...]]:
-        return self._backend.times_prefix(proc)
-
-    def used_message(self, ev: EventRef) -> Optional[MessageArrow]:
-        return self._backend.used_message(ev)
+        """All timestamps of one process (``None``: untimed trace)."""
+        if self._times is None:
+            return None
+        return tuple(self._times[proc])
 
     def snapshot_cache(self) -> Dict[Any, Any]:
-        return self._backend.snapshot_cache()
+        """The packed-column cache dict a snapshot should share."""
+        return self._column_cache
 
     # -- appends ------------------------------------------------------------
 
@@ -225,12 +310,33 @@ class TraceStore:
         if vars is not None:
             new_vars = dict(vars)
         else:
-            new_vars = dict(self._backend.latest_vars(proc))
+            new_vars = dict(self.latest_vars(proc))
             new_vars.update(updates or {})
-        return self._backend.append_state(
-            proc, new_vars, time=time, received_from=received_from,
-            payload=payload, tag=tag,
-        )
+        sources: List[StateRef] = []
+        src = received_from
+        if src is not None:
+            src = StateRef(*src)
+            if src.proc == proc:
+                raise MalformedTraceError("a process cannot receive its own message")
+            send_ev: EventRef = (src.proc, src.index)
+            if send_ev in self._used_events:
+                raise MalformedTraceError(
+                    f"event {send_ev} used by both "
+                    f"{self._used_events[send_ev]!r} and the message from "
+                    f"{src!r} (D3 / one message per event)"
+                )
+            sources.append(src)
+        entered = self.index.append_event(proc, sources)  # validates endpoints
+        self._push_state(proc, new_vars, time, src, payload, tag)
+        if self._times is not None:
+            self._times[proc].append(
+                float(time) if time is not None else self._times[proc][-1]
+            )
+        if src is not None:
+            self._add_message(MessageArrow(src, entered, payload=payload, tag=tag))
+            _MESSAGES.inc()
+        _STATES.inc()
+        return entered
 
     def append_message(
         self,
@@ -246,7 +352,22 @@ class TraceStore:
         ``append_state(received_from=...)`` costs O(n).  Bumps
         :attr:`epoch`.
         """
-        return self._backend.append_message(src, dst, payload=payload, tag=tag)
+        src, dst = StateRef(*src), StateRef(*dst)
+        if src.proc == dst.proc:
+            raise MalformedTraceError("a process cannot receive its own message")
+        msg = MessageArrow(src, dst, payload=payload, tag=tag)
+        for ev in ((src.proc, src.index), (dst.proc, dst.index - 1)):
+            if ev in self._used_events:
+                raise MalformedTraceError(
+                    f"event {ev} used by both {self._used_events[ev]!r} and "
+                    f"{msg!r} (D3 / one message per event)"
+                )
+        self.index.insert_arrows([(src, dst)])
+        self._add_message(msg)
+        self.epoch += 1
+        _MESSAGES.inc()
+        self._push_arrow(msg)
+        return msg
 
     def append_control(
         self, src: StateRef | Tuple[int, int], dst: StateRef | Tuple[int, int]
@@ -257,40 +378,84 @@ class TraceStore:
         arrow interferes with the recorded causality.  Bumps :attr:`epoch`
         when the arrow is new.
         """
-        return self._backend.append_control(src, dst)
+        arrow = (StateRef(*src), StateRef(*dst))
+        if arrow in self._control_set:
+            return arrow  # duplicated control arrows add no causality
+        # The index also dedupes against message arrows with the same
+        # endpoints (the edge already exists; the *role* is still recorded).
+        self.index.insert_arrows([arrow])
+        self._add_control(arrow)
+        self.epoch += 1
+        _CONTROL.inc()
+        self._push_arrow(arrow)
+        return arrow
+
+    def _add_message(self, msg: MessageArrow) -> None:
+        self._messages.append(msg)
+        self._used_events[(msg.src.proc, msg.src.index)] = msg
+        self._used_events[(msg.dst.proc, msg.dst.index - 1)] = msg
+
+    def _add_control(self, arrow: ControlArrow) -> None:
+        self._control.append(arrow)
+        self._control_set.add(arrow)
+
+    # -- storage primitives (the SQLite engine also journals them) ----------
+
+    def _push_state(self, proc: int, vars: Dict[str, Any],
+                    time: Optional[float], src: Optional[StateRef],
+                    payload: Any, tag: Optional[str]) -> None:
+        """Keep one appended state's variables (model rules already done)."""
+        self._vars[proc].append(vars)
+
+    def _push_arrow(self, arrow: MessageArrow | ControlArrow) -> None:
+        """Keep one arrow inserted between existing states.
+
+        The in-memory columns already hold it; a durable engine journals it.
+        """
 
     # -- the commit chain ----------------------------------------------------
 
     def commit(self, kind: str = "append", message: Optional[str] = None,
                meta: Optional[Dict[str, Any]] = None) -> Optional[int]:
-        """Persist appends since the last commit (durable backends only).
+        """Persist appends since the last commit.
 
-        Returns the new head commit id, or ``None`` on the in-memory
-        engine (which has no chain and nothing to persist).
+        Returns the new head commit id (the current head when nothing
+        changed), or ``None`` on the in-memory engine, which has no chain
+        and nothing to persist.  Engines with a chain write it in
+        ``_commit``; every commit, the ones :meth:`branch` makes included,
+        goes through this method, so wrapping ``TraceStore.commit`` times
+        all of them.
         """
-        return self._backend.commit(kind=kind, message=message, meta=meta)
-
-    @property
-    def head(self) -> Optional[int]:
-        """Head commit id of the open branch (``None``: no chain)."""
-        return self._backend.head
-
-    @property
-    def branch_name(self) -> Optional[str]:
-        return self._backend.branch_name
+        if self.branch_name is None:
+            return None
+        return self._commit(kind, message, meta)
 
     def branch(self, name: str) -> "TraceStore":
         """A copy-on-write fork of the current state under ``name``.
 
-        On the SQLite engine this commits pending appends and adds one
-        branch row -- the fork shares every ancestor commit and page; on
-        the in-memory engine it is an O(states) pointer-sharing copy.
-        Either way, appends to the fork never touch this store.
+        In memory the fork gets its own column and arrow lists (O(states)
+        pointer copies) and shares every variable dict and arrow.  Its
+        causal index is rebuilt from the counts and arrows rather than
+        shared: :meth:`CausalIndex.append_event` writes the new state's
+        clock row in place with no copy-on-write, so two appendable stores
+        over one index would write into each other's rows.  Appends to the
+        fork never touch this store.  The SQLite engine commits pending
+        appends and adds one branch row instead.
         """
-        return TraceStore(backend=self._backend.branch(name))
+        fork = copy.copy(self)
+        fork._vars = [list(col) for col in self._vars]
+        if self._times is not None:
+            fork._times = [list(col) for col in self._times]
+        fork._column_cache = dict(self._column_cache)
+        fork._messages = list(self._messages)
+        fork._control = list(self._control)
+        fork._control_set = set(self._control_set)
+        fork._used_events = dict(self._used_events)
+        fork.index = CausalIndex(self.state_counts, self.index.arrows)
+        return fork
 
     def close(self) -> None:
-        self._backend.close()
+        """Release the engine's resources (a no-op in memory)."""
 
     # -- snapshots ----------------------------------------------------------
 
@@ -322,15 +487,15 @@ class TraceStore:
         payloads/tags must be JSON-serializable, which holds for every
         store fed from a ``repro-events/1`` stream.
         """
-        b = self._backend
         return {
             "format": FREEZE_FORMAT,
             "n": self.n,
             "proc_names": list(self.proc_names),
-            "vars": [[dict(v) for v in b.vars_prefix(i)] for i in range(self.n)],
+            "vars": [[dict(v) for v in self.vars_prefix(i)]
+                     for i in range(self.n)],
             "times": (
-                [list(b.times_prefix(i)) for i in range(self.n)]
-                if b.times_prefix(0) is not None else None
+                [list(self.times_prefix(i)) for i in range(self.n)]
+                if self._times is not None else None
             ),
             "messages": [
                 {
@@ -339,11 +504,11 @@ class TraceStore:
                     "payload": m.payload,
                     "tag": m.tag,
                 }
-                for m in b.messages
+                for m in self._messages
             ],
             "control": [
-                [[a.proc, a.index], [b_.proc, b_.index]]
-                for a, b_ in b.control_arrows
+                [[a.proc, a.index], [b.proc, b.index]]
+                for a, b in self._control
             ],
             "epoch": self.epoch,
             "obs": self.obs,
@@ -370,7 +535,7 @@ class TraceStore:
             )
         n = int(state["n"])
         vars_cols = state["vars"]
-        store = cls(
+        store = TraceStore(
             n,
             start_vars=[col[0] for col in vars_cols],
             proc_names=state.get("proc_names"),
@@ -379,59 +544,44 @@ class TraceStore:
                 if state.get("times") is not None else None
             ),
         )
-        b = store._backend
-        b._vars = [[dict(v) for v in col] for col in vars_cols]
+        store._vars = [[dict(v) for v in col] for col in vars_cols]
         if state.get("times") is not None:
-            b._times = [list(map(float, col)) for col in state["times"]]
+            store._times = [list(map(float, col)) for col in state["times"]]
         arrows: List[Arrow] = []
         for m in state.get("messages", ()):
-            src = StateRef(*m["src"])
-            dst = StateRef(*m["dst"])
-            msg = MessageArrow(src, dst, payload=m.get("payload"),
-                               tag=m.get("tag"))
-            b._messages.append(msg)
-            b._used_events[(src.proc, src.index)] = msg
-            b._used_events[(dst.proc, dst.index - 1)] = msg
-            arrows.append((src, dst))
+            msg = MessageArrow(StateRef(*m["src"]), StateRef(*m["dst"]),
+                               payload=m.get("payload"), tag=m.get("tag"))
+            store._add_message(msg)
+            arrows.append((msg.src, msg.dst))
         for a, c in state.get("control", ()):
             arrow = (StateRef(*a), StateRef(*c))
-            b._control.append(arrow)
-            b._control_set.add(arrow)
+            store._add_control(arrow)
             arrows.append(arrow)
-        b._index = CausalIndex([len(col) for col in vars_cols], arrows)
-        b.epoch = int(state.get("epoch", 0))
-        b.obs = state.get("obs")
+        store.index = CausalIndex([len(col) for col in vars_cols], arrows)
+        store.epoch = int(state.get("epoch", 0))
+        store.obs = state.get("obs")
         return store
 
     # -- bulk construction ---------------------------------------------------
 
     @classmethod
-    def from_deposet(
-        cls, dep: "Deposet", *, backend: Optional[StorageBackend] = None,
-    ) -> "TraceStore":
+    def from_deposet(cls, dep: "Deposet", target: str = "memory") -> "TraceStore":
         """Replay an existing deposet through the incremental path.
 
         Events are fed in a causal delivery order (see
         :func:`iter_delivery_events`), so the resulting store -- columns,
         arrows, and live index -- is equivalent to the batch-built ``dep``.
-        Pass ``backend`` (a freshly-created engine whose start states
-        match ``dep``'s, e.g. a new SQLite branch store) to materialise
-        the deposet into it instead of a new in-memory store.
+        ``target`` names the engine as in :meth:`open`; a ``sqlite:PATH``
+        target must be a fresh database (see :meth:`open`).
         """
         ts = dep.timestamps
-        if backend is None:
-            store = cls(
-                dep.n,
-                start_vars=[dep.state_vars((i, 0)) for i in range(dep.n)],
-                proc_names=dep.proc_names,
-                start_times=[row[0] for row in ts] if ts is not None else None,
-            )
-        else:
-            if backend.num_states != backend.n:
-                raise MalformedTraceError(
-                    "from_deposet needs an empty backend (start states only)"
-                )
-            store = cls(backend=backend)
+        store = cls.open(
+            target,
+            n=dep.n,
+            start_vars=[dep.state_vars((i, 0)) for i in range(dep.n)],
+            proc_names=dep.proc_names,
+            start_times=[row[0] for row in ts] if ts is not None else None,
+        )
         for proc, entered, msg, ctls in iter_delivery_events(dep):
             time = ts[proc][entered] if ts is not None else None
             if msg is not None:
@@ -453,16 +603,15 @@ class TraceStore:
 
     def __repr__(self) -> str:
         ctrl = (
-            f", control={len(self.control_arrows)}" if self.control_arrows
-            else ""
+            f", control={len(self._control)}" if self._control else ""
         )
         chain = (
             f", branch={self.branch_name!r}@{self.head}"
             if self.branch_name is not None else ""
         )
         return (
-            f"TraceStore[{self._backend.kind}](n={self.n}, "
-            f"states={self.state_counts}, messages={len(self.messages)}"
+            f"TraceStore[{self.kind}](n={self.n}, "
+            f"states={self.state_counts}, messages={len(self._messages)}"
             f"{ctrl}{chain}, epoch={self.epoch})"
         )
 

@@ -65,11 +65,9 @@ from typing import IO, Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 from repro.causality.relations import StateRef
 from repro.errors import (
     MalformedTraceError,
-    StorageError,
     TruncatedStreamError,
     UnknownTraceFormatError,
 )
-from repro.storage.base import open_backend
 from repro.store.trace_store import TraceStore, iter_delivery_events
 from repro.trace.decode import (
     FORMAT,
@@ -405,20 +403,13 @@ def stream_store_from_header(
     """
     header, problems = decode_stream_header(rec, where)
     raise_first(problems)
-    backend = open_backend(
+    store = TraceStore.open(
         store_target or "memory",
         n=len(header.start),
         start_vars=header.start,
         proc_names=header.proc_names,
         start_times=header.start_times,
     )
-    if backend.num_states != backend.n:
-        backend.close()
-        raise StorageError(
-            f"{store_target} already holds a trace body; ingest "
-            f"into a fresh database or fork a branch"
-        )
-    store = TraceStore(backend=backend)
     store.obs = None
     return store
 

@@ -1,5 +1,7 @@
 """Unit tests for CausalOrder (state-level happened-before)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,23 @@ def test_clock_matrix_shape():
     co = order_two_procs()
     assert co.clock_matrix(0).shape == (3, 2)
     assert co.clock_matrix(0).dtype == np.int32
+
+
+def test_relations_return_python_bools():
+    """Cross-process answers read a numpy clock entry; they must still be
+    plain ``bool`` (JSON-serialisable, ``is True``-comparable) like the
+    same-process ones, for a batch order and a live index alike."""
+    from repro.store.index import CausalIndex
+
+    live = CausalIndex([1, 1])
+    live.append_event(0)
+    live.append_event(1, [(0, 0)])
+    live.append_event(0)
+    pairs = [((0, 0), (1, 1)), ((0, 1), (1, 1)), ((1, 0), (0, 1)),
+             ((0, 0), (0, 1)), ((0, 1), (0, 0))]
+    for order in (CausalOrder([2, 2], [((0, 0), (1, 1))]), live):
+        answers = [rel(a, b) for a, b in pairs
+                   for rel in (order.happened_before, order.happened_before_eq,
+                               order.enters_before, order.concurrent)]
+        assert all(type(x) is bool for x in answers), answers
+        json.dumps(answers)

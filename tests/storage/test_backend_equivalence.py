@@ -1,10 +1,10 @@
 """The storage contract: every backend is behaviorally identical.
 
-This is the load-bearing suite of the storage seam (see
-``repro/storage/base.py``): on random traces -- fed through the same
+This is the load-bearing suite of the storage engines (see
+``repro/store/trace_store.py``): on random traces -- fed through the same
 incremental append path, with commits, branch forks, and cold reopens
-interleaved on the durable side -- ``SqliteBackend`` must be
-indistinguishable from ``MemoryBackend``:
+interleaved on the durable side -- a ``SqliteStore`` must be
+indistinguishable from an in-memory ``TraceStore``:
 
 * snapshots compare equal as :class:`~repro.trace.deposet.Deposet`
   values (states, messages, control, timestamps);
@@ -83,7 +83,7 @@ def feed_both(records, tmp_path, *, checkpoints=()):
     cache and dirty tail are discarded -- everything must survive the
     round-trip through the chain)."""
     mem, sql = open_pair(records, tmp_path)
-    path = sql.backend.path
+    path = sql.path
     for i, rec in enumerate(records[1:], start=1):
         apply_stream_record(mem, rec, f"mem:{i}")
         apply_stream_record(sql, rec, f"sql:{i}")
@@ -187,7 +187,7 @@ def test_branch_fork_matches_memory_fork(seed):
             assert sql.snapshot() == mem.snapshot()  # parents untouched
             assert sql.epoch == mem.epoch
             # and a cold reopen of the branch still sees the divergence
-            path = sql.backend.path
+            path = sql.path
             sql_fork.close()
             sql_fork = TraceStore.open(f"sqlite:{path}", branch="candidate-1")
             assert sql_fork.snapshot() == mem_fork.snapshot()
@@ -201,20 +201,17 @@ def test_branch_fork_matches_memory_fork(seed):
 def test_tiny_pages_and_cache_change_nothing(seed):
     """Page size 2 + a 2-page cache: every read path goes through page
     faults and evictions, and the verdicts still match in-memory."""
-    from repro.storage import open_backend
-
     with fresh_dir() as tmp_path:
         records = stream_records(seed)
         kwargs = shape_of(records[0])
         mem = TraceStore.open("memory", **kwargs)
-        backend = open_backend(f"sqlite:{tmp_path / 'tiny.db'}",
-                               page_size=2, cache_pages=2, **kwargs)
-        sql = TraceStore(backend=backend)
+        sql = TraceStore.open(f"sqlite:{tmp_path / 'tiny.db'}",
+                              page_size=2, cache_pages=2, **kwargs)
         for i, rec in enumerate(records[1:], start=1):
             apply_stream_record(mem, rec, f"mem:{i}")
             apply_stream_record(sql, rec, f"sql:{i}")
         sql.commit()
-        path = backend.path
+        path = sql.path
         sql.close()
         with METRICS.scoped() as scope:
             sql = TraceStore.open(f"sqlite:{path}", cache_pages=2)

@@ -43,14 +43,12 @@ def run_child(code, *args, expect_kill=False):
 
 CHILD_SETUP = """
 import os, signal, sys
-from repro.storage import open_backend
 from repro.store import TraceStore
 
 path = sys.argv[1]
-backend = open_backend(
+store = TraceStore.open(
     "sqlite:" + path, n=3, start_vars=[{"up": True}] * 3,
 )
-store = TraceStore(backend=backend)
 """
 
 
@@ -91,7 +89,7 @@ def die(*a):
     os.kill(os.getpid(), signal.SIGKILL)
 
 # fire a few VM instructions into the next statement's transaction
-store.backend._conn.set_progress_handler(die, 5)
+store._conn.set_progress_handler(die, 5)
 store.commit(message="never lands")
 """, path, expect_kill=True)
     store = TraceStore.open(f"sqlite:{path}")
@@ -160,12 +158,9 @@ store.append_state(1, {"up": False})  # lost: never committed
 os._exit(0)
 """, path)
     ref = json.loads(out.stdout)
-    from repro.storage import open_backend
-
-    backend = open_backend(f"sqlite:{path}", branch="main",
-                           at_commit=ref["commit"], reset_head=True,
-                           create=False)
-    store = TraceStore(backend=backend)
+    store = TraceStore.open(f"sqlite:{path}", branch="main",
+                            at_commit=ref["commit"], reset_head=True,
+                            create=False)
     try:
         assert list(store.state_counts) == ref["counts"]
         assert store.head == ref["commit"]

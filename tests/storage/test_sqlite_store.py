@@ -1,4 +1,4 @@
-"""SqliteBackend unit behavior: chain, branches, CRC, cache, gc.
+"""SqliteStore unit behavior: chain, branches, CRC, cache, gc.
 
 The equivalence suite proves the backend *agrees* with memory; this one
 pins the durable-only behaviors -- what the chain looks like, how it
@@ -25,26 +25,16 @@ from repro.storage import (
     gc_store,
     init_db,
     list_branches,
-    open_backend,
 )
 from repro.store import TraceStore
 from repro.store.trace_store import FREEZE_FORMAT
 from repro.workloads import random_deposet
 
 
-def make_store(path, seed=3, **open_kwargs):
+def make_store(path, seed=3):
     dep = random_deposet(seed=seed, n=3, events_per_proc=6,
                          message_rate=0.4, flip_rate=0.4)
-    ts = dep.timestamps
-    backend = open_backend(
-        f"sqlite:{path}",
-        n=dep.n,
-        start_vars=[dep.state_vars((i, 0)) for i in range(dep.n)],
-        proc_names=dep.proc_names,
-        start_times=[row[0] for row in ts] if ts is not None else None,
-        **open_kwargs,
-    )
-    store = TraceStore.from_deposet(dep, backend=backend)
+    store = TraceStore.from_deposet(dep, f"sqlite:{path}")
     return store, dep
 
 
@@ -104,25 +94,25 @@ def test_shape_conflict_rejected(tmp_path):
     store.commit()
     store.close()
     with pytest.raises(StorageError):
-        open_backend(f"sqlite:{path}", n=7)
+        TraceStore.open(f"sqlite:{path}", n=7)
 
 
 def test_uninitialised_store_needs_shape(tmp_path):
     path = tmp_path / "empty.db"
     init_db(str(path))
     with pytest.raises(StorageError):
-        open_backend(f"sqlite:{path}")
+        TraceStore.open(f"sqlite:{path}")
     # db init pre-creates schema + format; a later shaped open completes it
-    backend = open_backend(f"sqlite:{path}", n=2)
-    assert backend.state_counts == (1, 1)
-    backend.close()
+    store = TraceStore.open(f"sqlite:{path}", n=2)
+    assert store.state_counts == (1, 1)
+    store.close()
 
 
 def test_non_store_file_is_corrupt_not_crash(tmp_path):
     path = tmp_path / "garbage.db"
     path.write_bytes(b"this is not a sqlite database at all, not even close")
     with pytest.raises((StorageCorruptError, StorageError)):
-        open_backend(f"sqlite:{path}")
+        TraceStore.open(f"sqlite:{path}")
 
 
 def test_ops_crc_corruption_detected(tmp_path):
@@ -288,3 +278,33 @@ def test_legacy_freeze_without_format_accepted(tmp_path):
     del frozen["format"]  # pre-PR-9 checkpoint payload
     clone = TraceStore.restore(json.loads(json.dumps(frozen)))
     assert clone.snapshot() == dep
+
+
+def test_every_sqlite_commit_runs_through_tracestore_commit(tmp_path,
+                                                            monkeypatch):
+    """Profilers time commits by rebinding ``TraceStore.commit`` on the
+    class; a SQLite store, and the branch recorder of the debugging loop,
+    must reach the chain through that one attribute."""
+    from repro.storage import record_control_branch
+
+    kinds = []
+    original = TraceStore.commit
+
+    def counting(self, kind="append", message=None, meta=None):
+        kinds.append(kind)
+        return original(self, kind=kind, message=message, meta=meta)
+
+    monkeypatch.setattr(TraceStore, "commit", counting)
+    store, dep = make_store(tmp_path / "t.db")
+    assert isinstance(store, TraceStore)
+    assert kinds == ["init"]
+    cid = store.commit(message="direct")
+    assert cid == store.head and kinds == ["init", "append"]
+    store.close()
+
+    del kinds[:]
+    name, cid = record_control_branch(
+        f"sqlite:{tmp_path / 'r.db'}", dep, [], meta={"verdict": "replayed"})
+    # create, base ingest, auto-commit before the fork, verdict commit
+    assert kinds == ["init", "append", "append", "replay"]
+    assert chain_log(str(tmp_path / "r.db"), name)[-1]["id"] == cid
