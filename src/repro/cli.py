@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import List, Optional
 
@@ -457,6 +458,64 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok(strict=args.strict) else 1
 
 
+def _stream_session(lines, label: str, tenant: str, predicate: str, emit,
+                    **session_opts) -> Optional["DetectionSession"]:
+    """Feed the ``(lineno, line)`` pairs of stream file ``label`` to one
+    inline :class:`~repro.serve.session.DetectionSession`.
+
+    The session loop of ``repro watch`` and ``repro tail FILE``: every
+    ``repro-verdicts/1`` event goes to ``emit(event, lineno)`` as it
+    fires, through ``final`` and ``closed`` (whose ``seq`` counts every
+    line after the header, as ``repro serve`` reports it).  A malformed
+    record, a torn final line or a lost source instead ends the session
+    with one ``error`` event.  Returns the finalized session, or ``None``
+    after an error.
+    """
+    from repro.errors import MalformedTraceError, SourceLostError
+    from repro.serve.protocol import event_closed, event_error
+    from repro.serve.session import DetectionSession
+
+    def send(events, lineno: Optional[int] = None) -> None:
+        for ev in events:
+            emit(ev, lineno)
+
+    sess: Optional[DetectionSession] = None
+    lineno: Optional[int] = None
+    try:
+        for lineno, line in lines:
+            if sess is not None:
+                send(sess.feed_line(line, lineno), lineno)
+                if sess.failed:
+                    break
+                continue
+            try:
+                header = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedTraceError(
+                    f"{label}:{lineno}: not valid JSON ({exc})"
+                ) from exc
+            sess = DetectionSession(tenant, label, header, predicate,
+                                    label=label, **session_opts)
+            send(sess.open_events())
+        if sess is None:
+            raise MalformedTraceError(f"{label}: empty stream (no header)")
+    except (MalformedTraceError, SourceLostError) as exc:
+        lost = isinstance(exc, SourceLostError)
+        lineno = None if lost else getattr(exc, "lineno", lineno)
+        send([event_error(
+            tenant, label, sess.seq if sess is not None else 0,
+            "source-lost" if lost else "malformed", str(exc),
+            where=None if lineno is None else f"{label}:{lineno}",
+        )])
+    else:
+        if not sess.failed:
+            send(sess.finalize() + [event_closed(tenant, label, sess.lines)])
+            return sess
+    if sess is not None:
+        sess.close()
+    return None
+
+
 def _cmd_watch(args: argparse.Namespace) -> int:
     """Stream a trace through the incremental detector, record by record.
 
@@ -466,79 +525,50 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     push for the stream, and the text format renders the same events.
     """
     from repro.analysis.findings import Finding
-    from repro.errors import MalformedTraceError, TruncatedStreamError
     from repro.obs import METRICS
-    from repro.serve.protocol import dumps_event, event_closed, event_error
-    from repro.serve.session import DetectionSession
+    from repro.serve.protocol import dumps_event
     from repro.trace.io import iter_stream_lines
 
     as_json = getattr(args, "format", "text") == "json"
     label = str(args.trace)
-    sess: Optional[DetectionSession] = None
     first_line = None  # the record whose poll first found a witness
 
-    def emit(events, lineno: Optional[int] = None) -> None:
+    def emit(ev, lineno: Optional[int] = None) -> None:
         nonlocal first_line
-        for ev in events:
-            kind = ev["e"]
-            if kind == "error":
-                raise MalformedTraceError(ev["message"])
-            if as_json:
-                print(dumps_event(ev))
-            elif kind == "open":
-                print(f"watching {label}: {ev['n']} process(es), "
-                      f"predicate {args.predicate}")
-            elif kind == "finding":
-                print(f"  [lint] {Finding.from_dict(ev['finding']).describe()}")
-            elif kind == "witness" and ev["status"] == "found" \
-                    and first_line is None:
-                first_line = lineno
-                print(f"  record {lineno}: violation possible at "
-                      f"consistent global state {tuple(ev['cut'])}")
-            elif kind == "lint":
-                line = (f"[lint] {ev['findings']} finding(s), "
-                        f"{ev['errors']} error(s), "
-                        f"{ev['warnings']} warning(s)")
-                if ev["dirty"]:
-                    line += f" (recomputed at EOF: {ev['dirty_reason']})"
-                print(line)
+        kind = ev["e"]
+        if as_json:
+            print(dumps_event(ev))
+        elif kind == "error":
+            print(f"error: {ev['message']}", file=sys.stderr)
+        elif kind == "open":
+            print(f"watching {label}: {ev['n']} process(es), "
+                  f"predicate {args.predicate}")
+        elif kind == "finding":
+            print(f"  [lint] {Finding.from_dict(ev['finding']).describe()}")
+        elif kind == "witness" and ev["status"] == "found" \
+                and first_line is None:
+            first_line = lineno
+            print(f"  record {lineno}: violation possible at "
+                  f"consistent global state {tuple(ev['cut'])}")
+        elif kind == "lint":
+            line = (f"[lint] {ev['findings']} finding(s), "
+                    f"{ev['errors']} error(s), "
+                    f"{ev['warnings']} warning(s)")
+            if ev["dirty"]:
+                line += f" (recomputed at EOF: {ev['dirty_reason']})"
+            print(line)
 
     with METRICS.scoped() as scope:
-        try:
-            for lineno, line in iter_stream_lines(args.trace):
-                if sess is not None:
-                    emit(sess.feed_line(line, lineno), lineno)
-                    continue
-                try:
-                    header = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedTraceError(
-                        f"{label}:{lineno}: not valid JSON ({exc})"
-                    ) from exc
-                sess = DetectionSession(
-                    "local", label, header, args.predicate,
-                    lint=getattr(args, "lint", False),
-                    store_target=getattr(args, "store", None), label=label,
-                )
-                emit(sess.open_events())
-        except TruncatedStreamError as exc:
-            if not as_json:
-                raise  # main() prints the typed file:lineno message
-            print(dumps_event(event_error(
-                "local", label, sess.seq if sess else 0, "malformed",
-                str(exc), where=f"{label}:{exc.lineno}",
-            )))
-            return 3
-        if sess is None:
-            raise MalformedTraceError(f"{label}: empty stream (no header)")
-        *lint_events, final = sess.finalize()
-        emit(lint_events)
+        sess = _stream_session(
+            iter_stream_lines(args.trace), label, "local", args.predicate,
+            emit, lint=getattr(args, "lint", False),
+            store_target=getattr(args, "store", None),
+        )
+    if sess is None:
+        return 3
     counters = scope.delta()["counters"]
     result, store = sess.result, sess.store
-    if as_json:
-        print(dumps_event(final))
-        print(dumps_event(event_closed("local", label, sess.seq)))
-    else:
+    if not as_json:
         print("[watch] " + " ".join(
             f"{k}={counters.get('detection.incremental.' + k, 0)}"
             for k in ("polls", "suffix_states", "resets")))
@@ -594,7 +624,6 @@ def _parse_quota(spec: str):
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the multi-tenant online detection server until interrupted."""
     import asyncio
-    import signal
 
     from repro.serve.client import parse_connect
     from repro.serve.registry import TenantQuota
@@ -669,10 +698,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_tail(args: argparse.Namespace) -> int:
     """Print live verdict events -- from a server or from a stream file."""
     import asyncio
+    import threading
 
+    from repro.serve.client import Backoff
     from repro.serve.protocol import describe_event, dumps_event, is_internal
 
-    def emit(event) -> None:
+    def emit(event, _lineno: Optional[int] = None) -> None:
         if is_internal(event):
             return
         if args.format == "json":
@@ -681,7 +712,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
             print(describe_event(event), flush=True)
 
     if args.connect:
-        from repro.serve.client import Backoff, subscribe
+        from repro.serve.client import subscribe
 
         async def run_sub() -> int:
             backoff = Backoff(max_retries=args.retries)
@@ -710,37 +741,26 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         print("error: tailing a file needs --predicate", file=sys.stderr)
         return 2
 
-    import signal
+    from repro.trace.io import iter_stream_lines
 
-    from repro.serve.server import ReproServer, ServeConfig
-
-    async def run_file() -> int:
-        server = ReproServer(ServeConfig(workers=0))
-        await server.start()
-        # In follow mode SIGINT/SIGTERM means "stop waiting for growth and
-        # finalize on what we have", not "die mid-verdict".
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        from repro.serve.client import Backoff
-
-        try:
-            final = await server.tail_file(
-                args.trace, args.tenant, str(args.trace), args.predicate,
-                follow=args.follow, push=emit, stop=stop,
-                retry=Backoff(max_retries=args.retries),
-            )
-        finally:
-            await server.drain()
-        if final is None:
-            return 3
-        return 0 if final.get("witness") is None else 1
-
-    return asyncio.run(run_file())
+    # SIGINT/SIGTERM mean "stop reading and finalize on what we have",
+    # not "die mid-verdict".
+    stop = threading.Event()
+    saved = {sig: signal.signal(sig, lambda *_: stop.set())
+             for sig in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        sess = _stream_session(
+            iter_stream_lines(args.trace, follow=args.follow,
+                              retry=Backoff(max_retries=args.retries),
+                              stop=stop),
+            str(args.trace), args.tenant, args.predicate, emit,
+        )
+    finally:
+        for sig, handler in saved.items():
+            signal.signal(sig, handler)
+    if sess is None:
+        return 3
+    return 0 if sess.result.witness is None else 1
 
 
 #: default recording path shared by ``obs record`` / ``summary`` / ``export``

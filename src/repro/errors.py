@@ -24,6 +24,7 @@ __all__ = [
     "ReproError",
     "MalformedTraceError",
     "TruncatedStreamError",
+    "SourceLostError",
     "UnknownTraceFormatError",
     "UnknownFreezeFormatError",
     "StorageError",
@@ -60,15 +61,20 @@ class TruncatedStreamError(MalformedTraceError):
     line of the file fails to parse **and** carries no trailing newline --
     the signature of a writer that crashed (or is still appending) mid
     record.  The message carries ``file:lineno`` like every other stream
-    error; tail-mode consumers (``repro serve --tail``, ``repro tail
-    --follow``) catch this specifically and wait for more bytes instead
-    of aborting.
+    error.  In follow mode :func:`repro.trace.io.iter_stream_lines` waits
+    for the rest of such a line instead of raising.
     """
 
     def __init__(self, message: str, *, lineno: int = 0):
         super().__init__(message)
         #: 1-based line number of the truncated record.
         self.lineno = lineno
+
+
+class SourceLostError(ReproError):
+    """A stream file is missing or unreadable and its retry budget (none
+    outside follow mode) is spent (:func:`repro.trace.io.iter_stream_lines`);
+    ``repro tail`` reports it as a ``source-lost`` error event, exit 3."""
 
 
 class UnknownTraceFormatError(MalformedTraceError):

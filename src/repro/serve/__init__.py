@@ -3,10 +3,10 @@
 The serving subsystem turns the PR 4/5 streaming substrate -- per-stream
 :class:`~repro.store.TraceStore` + incremental conjunctive detection --
 into a long-running multi-tenant server: many concurrent
-``repro-events/1`` streams over TCP/unix sockets (or tailed from files),
-each multiplexed into its own detection session on a sharded worker
-pool, with per-tenant quotas, credit-based backpressure, and live
-``repro-verdicts/1`` push to subscribers.  See ``docs/SERVING.md``.
+``repro-events/1`` streams over TCP/unix sockets, each multiplexed into
+its own detection session on a sharded worker pool, with per-tenant
+quotas, credit-based backpressure, and live ``repro-verdicts/1`` push to
+subscribers.  See ``docs/SERVING.md``.
 
 Layers (each its own module, importable without starting a server):
 

@@ -50,8 +50,9 @@ class Backoff:
     capped at ``max_delay``, stretched ±``jitter``), or ``None`` once
     ``max_retries`` attempts are spent.  ``reset()`` on success so a
     long-lived loop only pays for *consecutive* failures.  Shared by the
-    durable stream client, ``repro tail --follow``, and the subscriber
-    reconnect path.
+    durable stream client and the subscriber reconnect path;
+    ``repro tail FILE --follow`` hands one to
+    :func:`repro.trace.io.iter_stream_lines`.
     """
 
     def __init__(self, base: float = 0.05, factor: float = 2.0,

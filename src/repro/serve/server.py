@@ -2,9 +2,8 @@
 
 One process runs the **I/O plane** (this module): asyncio listeners on
 TCP and/or a unix socket accept many concurrent ``repro-serve/1``
-connections, a file-tail mode follows a growing stream on disk, and a
-:class:`~repro.serve.registry.SessionRegistry` admits sessions against
-per-tenant quotas.  The **CPU plane** is the sharded
+connections and a :class:`~repro.serve.registry.SessionRegistry` admits
+sessions against per-tenant quotas.  The **CPU plane** is the sharded
 :mod:`~repro.serve.workers` pool: the server forwards raw stream lines in
 batches to the shard owning each session and receives verdict events plus
 flow-control acks back on the loop thread.
@@ -60,7 +59,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import TruncatedStreamError
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.serve.durability import (
@@ -160,7 +158,7 @@ class _Entry:
     """Loop-thread state for one admitted session."""
 
     __slots__ = (
-        "state", "writer", "push", "credit", "outcome", "error",
+        "state", "writer", "credit", "outcome", "error",
         "buffer", "lineno", "last_flush", "finalizing",
         # durable-session state
         "durable", "dur", "accepted", "wal_seq", "last_ckpt", "events_log",
@@ -169,10 +167,9 @@ class _Entry:
     )
 
     def __init__(self, state: SessionState, loop: asyncio.AbstractEventLoop,
-                 writer: Optional[asyncio.StreamWriter] = None, push=None):
+                 writer: Optional[asyncio.StreamWriter] = None):
         self.state = state
         self.writer = writer
-        self.push = push  # optional callable(event) for tail sessions
         self.credit = asyncio.Event()
         self.credit.set()
         #: the final verdict, the error that failed the session, or
@@ -475,18 +472,16 @@ class ReproServer:
         if entry.writer is not None:
             with contextlib.suppress(Exception):
                 entry.writer.write(line)
-        if entry.push is not None:
-            entry.push(event)
         self.registry.publish(entry.state.tenant, event)
 
     # -- feeding helpers (loop thread) ---------------------------------------
 
     def _admit(self, tenant: str, session: str,
-               writer: Optional[asyncio.StreamWriter], push=None) -> _Entry:
+               writer: Optional[asyncio.StreamWriter]) -> _Entry:
         key = session_key(tenant, session)
         shard = self.pool.shard_of(key)
         state = self.registry.open(tenant, session, shard)  # may raise
-        entry = _Entry(state, self._loop, writer=writer, push=push)
+        entry = _Entry(state, self._loop, writer=writer)
         self._entries[key] = entry
         return entry
 
@@ -937,142 +932,6 @@ class ReproServer:
             self.registry.unsubscribe(tenant, push)
             with contextlib.suppress(Exception):
                 writer.close()
-
-    # -- file-tail mode ------------------------------------------------------
-
-    async def tail_file(self, path: str, tenant: str, session: str,
-                        predicate: str, *, follow: bool = False,
-                        poll_interval: float = 0.2, push=None,
-                        stop: Optional[asyncio.Event] = None,
-                        retry=None) -> Optional[Dict[str, Any]]:
-        """Follow a ``repro-events/1`` file on disk as a server-side session.
-
-        Reads complete lines only; a truncated final line (the writer is
-        mid-record) is retried in ``follow`` mode and reported as a
-        ``malformed`` error otherwise.  Returns the final verdict event,
-        or ``None`` when the session failed.  Verdict events reach
-        ``push`` and any subscribers of ``tenant``.
-
-        Transient source trouble -- the file not existing yet, vanishing
-        mid-tail, or a read error -- is retried with ``retry`` (a
-        :class:`~repro.serve.client.Backoff`; bounded exponential with
-        jitter, default budget 10 attempts) rather than a fixed sleep.
-        A source that stays gone past the budget fails the session with
-        a typed ``source-lost`` error event (so ``repro tail`` exits 3
-        instead of dumping a traceback); any successful read resets the
-        budget.
-        """
-        from repro.serve.client import Backoff
-
-        entry = self._admit(tenant, session, writer=None, push=push)
-        key = entry.state.key
-        lineno = 0
-        retry = retry or Backoff(base=poll_interval, max_retries=10)
-
-        def stopped() -> bool:
-            return stop is not None and stop.is_set()
-
-        def source_lost(exc: Optional[BaseException]) -> None:
-            self._publish(entry, event_error(
-                tenant, session, entry.state.acked, "source-lost",
-                f"stream source {path!r} is gone and stayed gone for "
-                f"{retry.attempts} retries"
-                + (f" ({exc})" if exc is not None else ""),
-            ))
-            self._close_entry(key, entry)
-
-        fh = None
-        while fh is None:
-            try:
-                fh = open(path)
-            except OSError as exc:
-                delay = retry.next_delay() if follow and not stopped() else None
-                if delay is None:
-                    source_lost(exc)
-                    return None
-                await asyncio.sleep(delay)
-        with fh:
-            while True:
-                pos = fh.tell()
-                try:
-                    raw = fh.readline()
-                except OSError as exc:
-                    delay = retry.next_delay()
-                    if delay is None:
-                        source_lost(exc)
-                        return None
-                    await asyncio.sleep(delay)
-                    fh.seek(pos)
-                    continue
-                if raw == "":
-                    if follow and not stopped():
-                        if os.path.exists(path):
-                            retry.reset()
-                            await asyncio.sleep(poll_interval)
-                        else:
-                            # the source vanished beneath us; give it a
-                            # backoff window to reappear (e.g. a rotate)
-                            delay = retry.next_delay()
-                            if delay is None:
-                                source_lost(None)
-                                return None
-                            await asyncio.sleep(delay)
-                        continue
-                    break
-                if not raw.endswith("\n"):
-                    if follow and not stopped():
-                        # the writer is mid-append; re-read the line later
-                        fh.seek(pos)
-                        await asyncio.sleep(poll_interval)
-                        continue
-                    # end of input without a newline: accept valid JSON,
-                    # surface genuine truncation as the typed error
-                    try:
-                        json.loads(raw)
-                    except json.JSONDecodeError as exc:
-                        err = TruncatedStreamError(
-                            f"{path}:{lineno + 1}: truncated record at end "
-                            f"of stream ({exc})", lineno=lineno + 1,
-                        )
-                        self._publish(entry, event_error(
-                            tenant, session, entry.state.acked, "malformed",
-                            str(err), where=f"{path}:{lineno + 1}",
-                        ))
-                        self._close_entry(key, entry)
-                        return None
-                lineno += 1
-                line = raw.strip()
-                if not line:
-                    continue
-                if not entry.opened:
-                    try:
-                        header = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        self._publish(entry, event_error(
-                            tenant, session, 0, "malformed",
-                            f"bad stream header ({exc})",
-                            where=f"{path}:{lineno}",
-                        ))
-                        self._close_entry(key, entry)
-                        return None
-                    self.pool.open_session(key, tenant, session, header,
-                                           predicate,
-                                           self._session_opts(tenant))
-                    entry.opened = True
-                    continue
-                entry.lineno = lineno
-                entry.buffer.append(line)
-                self._flush(key, entry)
-                while entry.state.credits <= 0 and entry.error is None:
-                    entry.credit.clear()  # tail mode always pauses
-                    await entry.credit.wait()
-                if entry.error is not None:
-                    break
-        await self._drain_buffer(key, entry)
-        outcome = await self._end(key, entry)
-        self._publish(entry, event_closed(tenant, session, entry.state.acked))
-        self._close_entry(key, entry)
-        return None if entry.error is not None else outcome
 
 
 class _Disconnect(Exception):

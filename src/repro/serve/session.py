@@ -15,8 +15,8 @@ the CPU budget lives (a worker process).  Malformed lines and quota
 overruns do not raise out of :meth:`feed_line`; they convert the session
 to the *failed* state and surface as ``error`` events so one tenant's
 garbage can never unwind a worker serving other tenants.  ``repro
-watch`` runs one session inline over a file, so the CLI and the server
-share this record path.
+watch`` and ``repro tail FILE`` run one session inline over a file, so
+the CLI and the server share this record path.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class DetectionSession:
     label:
         Prefix of every error and lint location, as ``label:lineno``
         with the header at line 1 (default: the ``tenant/session`` key;
-        ``repro watch`` passes the file path).
+        ``repro watch`` and ``repro tail`` pass the file path).
     """
 
     def __init__(

@@ -59,12 +59,15 @@ order) are raised by the deposet and the store, prefixed the same way.
 from __future__ import annotations
 
 import json
+import os
+import time
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.causality.relations import StateRef
 from repro.errors import (
     MalformedTraceError,
+    SourceLostError,
     TruncatedStreamError,
     UnknownTraceFormatError,
 )
@@ -410,7 +413,6 @@ def stream_store_from_header(
         proc_names=header.proc_names,
         start_times=header.start_times,
     )
-    store.obs = None
     return store
 
 
@@ -443,20 +445,76 @@ def apply_stream_record(
     return kind
 
 
-def iter_stream_lines(path: Union[str, Path]) -> Iterator[Tuple[int, str]]:
+def iter_stream_lines(
+    path: Union[str, Path],
+    *,
+    follow: bool = False,
+    poll_interval: float = 0.2,
+    retry: Any = None,
+    stop: Any = None,
+) -> Iterator[Tuple[int, str]]:
     """``(lineno, line)`` for every non-blank line of a stream file.
 
     A partial record on the *final* line (no trailing newline -- the
     writer crashed or is still appending) raises the narrower
-    :class:`~repro.errors.TruncatedStreamError` so tailing consumers can
-    wait for the rest instead of aborting.
+    :class:`~repro.errors.TruncatedStreamError`; a complete record that
+    only lacks the newline is accepted.
+
+    ``follow`` keeps reading as the file grows (``tail -f``): at EOF, and
+    on a torn last line, it waits ``poll_interval`` and re-reads.  While
+    the file is missing or gone it backs off with ``retry`` (anything
+    with ``next_delay()``/``reset()``/``attempts``, such as
+    :class:`repro.serve.client.Backoff`); once that budget is spent, or
+    at once without ``follow``, an unreadable source raises
+    :class:`~repro.errors.SourceLostError`.  Once ``stop`` (anything with
+    ``is_set()``) is set, no further line is read; a torn line already
+    read is then judged as at the end of the file.
     """
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+
+    def stopped() -> bool:
+        return stop is not None and stop.is_set()
+
+    def back_off(exc: Optional[BaseException]) -> None:
+        delay = (retry.next_delay()
+                 if follow and retry is not None and not stopped() else None)
+        if delay is None:
+            raise SourceLostError(
+                f"stream source {str(path)!r} is gone and stayed gone for "
+                f"{retry.attempts if retry is not None else 0} retries"
+                + (f" ({exc})" if exc is not None else "")
+            )
+        time.sleep(delay)
+
+    while True:
+        try:
+            fh = open(path)
+            break
+        except OSError as exc:
+            back_off(exc)
+    with fh:
+        lineno, partial = 0, ""
+        while True:
+            halted = stopped()
+            try:
+                raw = partial + ("" if halted else fh.readline())
+            except OSError as exc:
+                back_off(exc)
                 continue
-            if not raw.endswith("\n"):
+            if follow and not halted and not raw.endswith("\n"):
+                partial = raw  # EOF, or the writer is mid-record
+                if os.path.exists(path):
+                    if retry is not None:
+                        retry.reset()
+                    time.sleep(poll_interval)
+                else:
+                    back_off(None)  # give a rotated file time to reappear
+                continue
+            partial = ""
+            if not raw:
+                return
+            lineno += 1
+            line = raw.strip()
+            if line and not raw.endswith("\n"):
                 try:
                     json.loads(line)
                 except json.JSONDecodeError as exc:
@@ -465,7 +523,8 @@ def iter_stream_lines(path: Union[str, Path]) -> Iterator[Tuple[int, str]]:
                         f"stream ({exc}); the writer may still be appending",
                         lineno=lineno,
                     ) from exc
-            yield lineno, line
+            if line:
+                yield lineno, line
 
 
 def ingest_event_stream(

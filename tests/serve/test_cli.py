@@ -3,17 +3,26 @@
 The schema-sharing pin: ``repro watch --format json`` on a stream file
 must emit the same event sequence ``repro serve`` pushes for that stream
 (modulo the tenant/session naming), because both go through
-:mod:`repro.serve.protocol` and nothing else.
+:mod:`repro.serve.protocol` and nothing else.  ``repro tail FILE`` runs
+watch's session loop, so its JSON equals watch's but for ``tenant``.
 """
 
 import asyncio
 import json
+import os
+import threading
 
 import pytest
 
-from repro.cli import _parse_quota, main
-from repro.serve import ReproServer, ServeConfig, dumps_event, stream_events
-from repro.trace.io import write_event_stream
+from repro.cli import _parse_quota, _stream_session, main
+from repro.serve import (
+    Backoff,
+    ReproServer,
+    ServeConfig,
+    dumps_event,
+    stream_events,
+)
+from repro.trace.io import iter_stream_lines, write_event_stream
 from repro.workloads import random_deposet
 
 from .conftest import PREDICATE, make_stream
@@ -32,7 +41,7 @@ def anonymize(event):
     return {k: v for k, v in event.items() if k not in ("tenant", "session")}
 
 
-def test_watch_json_equals_serve_events(stream_file, unix_sock, capsys):
+def assert_watch_equals_serve(stream_file, unix_sock, capsys):
     rc = main(["watch", str(stream_file), "--predicate", PREDICATE,
                "--format", "json"])
     watch_events = [
@@ -55,10 +64,86 @@ def test_watch_json_equals_serve_events(stream_file, unix_sock, capsys):
     assert rc in (0, 1)
 
 
+def test_watch_json_equals_serve_events(stream_file, unix_sock, capsys):
+    assert_watch_equals_serve(stream_file, unix_sock, capsys)
+
+
+def test_watch_json_equals_serve_events_with_obs_record(stream_file,
+                                                        unix_sock, capsys):
+    """``closed`` counts the trailing ``obs`` line, as the server does."""
+    assert_watch_equals_serve(variant(stream_file, "obs"), unix_sock, capsys)
+
+
 def test_watch_json_verify_agrees_with_batch(stream_file, capsys):
     rc = main(["watch", str(stream_file), "--predicate", PREDICATE,
                "--format", "json", "--verify"])
     assert rc in (0, 1)  # 2 would be a streamed-vs-batch mismatch
+
+
+def variant(path, kind):
+    """``path`` (a clean stream) rewritten as a ``kind`` input."""
+    lines = path.read_text().splitlines()
+    if kind == "obs":
+        lines.append(json.dumps({"t": "obs", "obs": {"k": 1}}))
+    elif kind == "malformed":
+        lines[8] = '{"t":"ev","p":9}'
+    elif kind == "torn":
+        path.write_text("\n".join(lines[:8]) + "\n" + lines[8][:5])
+        return path
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def untenanted(events):
+    return [{k: v for k, v in e.items() if k != "tenant"} for e in events]
+
+
+def run_json(capsys, argv):
+    rc = main(argv + ["--format", "json"])
+    return rc, [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+
+
+@pytest.mark.parametrize("kind", ["clean", "obs", "malformed", "torn"])
+def test_tail_json_equals_watch_json(stream_file, capsys, monkeypatch, kind):
+    """One output contract: ``tail FILE`` and ``watch FILE`` print the same
+    events (tenant aside), errors included, with the same exit code."""
+
+    def no_event_loop(*_args, **_kwargs):
+        raise AssertionError("reading a file must not start an event loop")
+
+    monkeypatch.setattr(asyncio, "run", no_event_loop)
+    path = str(variant(stream_file, kind))
+    argv = [path, "--predicate", PREDICATE]
+    tail_rc, tail = run_json(capsys, ["tail"] + argv)
+    watch_rc, watch = run_json(capsys, ["watch"] + argv)
+    assert untenanted(tail) == untenanted(watch)
+    assert tail_rc == watch_rc
+    assert {e["tenant"] for e in tail} == {"default"}
+    if kind in ("clean", "obs"):
+        assert tail_rc in (0, 1) and tail[-1]["e"] == "closed"
+        return
+    # lines 2..8 were applied before the bad line 9
+    assert tail_rc == 3
+    error = tail[-1]
+    assert error["e"] == "error" and error["code"] == "malformed"
+    assert error["seq"] == 7 and error["where"] == f"{path}:9"
+    if kind == "torn":
+        assert "the writer may still be appending" in error["message"]
+
+
+def test_watch_json_reports_malformed_record_as_error_event(stream_file,
+                                                            capsys):
+    path = str(variant(stream_file, "malformed"))
+    rc, events = run_json(capsys, ["watch", path, "--predicate", PREDICATE])
+    assert rc == 3
+    assert events[-1]["e"] == "error" and events[-1]["code"] == "malformed"
+    assert events[-1]["where"] == f"{path}:9"
+    assert "must be a process index" in events[-1]["message"]
+    # text mode keeps its one stderr line
+    assert main(["watch", path, "--predicate", PREDICATE]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {events[-1]['message']}\n"
+    assert "error" not in captured.out
 
 
 def test_tail_file_prints_verdict_events(stream_file, capsys):
@@ -89,6 +174,21 @@ def test_tail_file_needs_a_predicate(stream_file, capsys):
     assert "--predicate" in capsys.readouterr().err
 
 
+def follow_session(path, got, **reader):
+    """``repro tail FILE --follow``'s session loop, events into ``got``."""
+    return _stream_session(
+        iter_stream_lines(path, follow=True, **reader), str(path), "t",
+        PREDICATE, lambda ev, _lineno: got.append(ev),
+    )
+
+
+def later(delay, action):
+    """Run ``action`` on a helper thread after ``delay`` seconds."""
+    thread = threading.Timer(delay, action)
+    thread.start()
+    return thread
+
+
 def test_tail_follow_completes_on_truncated_then_finished_file(tmp_path):
     """Follow mode waits through a torn final line instead of dying."""
     dep, header, lines = make_stream(seed=7)
@@ -97,28 +197,52 @@ def test_tail_follow_completes_on_truncated_then_finished_file(tmp_path):
     # first half, last line torn in the middle of a record
     torn = "\n".join(doc[: len(doc) // 2]) + "\n" + doc[len(doc) // 2][:5]
     path.write_text(torn)
+    stop = threading.Event()
 
-    async def scenario():
-        server = ReproServer(ServeConfig(workers=0))
-        await server.start()
-        got = []
-        stop = asyncio.Event()
-        task = asyncio.ensure_future(server.tail_file(
-            str(path), "t", "g", PREDICATE, follow=True,
-            poll_interval=0.02, push=got.append, stop=stop,
-        ))
-        await asyncio.sleep(0.1)  # the tail is now waiting on the torn line
+    def finish():  # the tail is now waiting on the torn line
         path.write_text("\n".join(doc) + "\n")  # writer finishes the file
-        await asyncio.sleep(0.1)
-        stop.set()
-        final = await asyncio.wait_for(task, 10)
-        await server.drain()
-        return final, got
+        later(0.2, stop.set)
 
-    final, got = asyncio.run(scenario())
-    assert final is not None and final["e"] == "final"
+    got = []
+    writer = later(0.1, finish)
+    sess = follow_session(path, got, poll_interval=0.02, stop=stop)
+    writer.join(10)
+    assert not writer.is_alive()
+    finals = [e for e in got if e["e"] == "final"]
+    assert sess is not None and len(finals) == 1
+    final = finals[0]
     assert final["seq"] == len(lines)
     assert final["degraded"] is False
+
+
+def test_tail_follow_stop_mid_file_finalizes_on_lines_read(tmp_path):
+    """The stop flag (SIGINT/SIGTERM in ``repro tail``), set mid-file, ends
+    the read there and finalizes on the records seen so far."""
+    dep, header, lines = make_stream(seed=7)
+    path = tmp_path / "full.jsonl"
+    doc = [dumps_event(header)] + lines
+    path.write_text("\n".join(doc) + "\n")
+    cut = len(doc) // 2  # file lines read before the stop
+    stop = threading.Event()
+
+    def reader():
+        for lineno, line in iter_stream_lines(path, follow=True, stop=stop):
+            yield lineno, line
+            if lineno == cut:
+                stop.set()
+
+    got = []
+    sess = _stream_session(reader(), str(path), "t", PREDICATE,
+                           lambda ev, _lineno: got.append(ev))
+    assert sess is not None and sess.seq == cut - 1
+
+    prefix = tmp_path / "prefix.jsonl"
+    prefix.write_text("\n".join(doc[:cut]) + "\n")
+    want = []
+    _stream_session(iter_stream_lines(prefix), str(path), "t", PREDICATE,
+                    lambda ev, _lineno: want.append(ev))
+    assert got == want
+    assert got[-2]["e"] == "final" and got[-2]["seq"] == cut - 1
 
 
 def test_tail_missing_file_exits_3_with_typed_event(tmp_path, capsys):
@@ -135,32 +259,19 @@ def test_tail_missing_file_exits_3_with_typed_event(tmp_path, capsys):
 def test_tail_follow_source_vanishing_spends_backoff_then_exits_3(tmp_path):
     """In follow mode the file disappearing permanently must exhaust the
     bounded retry budget (not loop forever) and fail with source-lost."""
-    import os
-
     dep, header, lines = make_stream(seed=8)
     path = tmp_path / "vanish.jsonl"
     doc = [dumps_event(header)] + lines
     path.write_text("\n".join(doc[: len(doc) // 2]) + "\n")
+    retry = Backoff(base=0.01, max_retries=3, seed=1)
 
-    async def scenario():
-        from repro.serve.client import Backoff
-
-        server = ReproServer(ServeConfig(workers=0))
-        await server.start()
-        got = []
-        task = asyncio.ensure_future(server.tail_file(
-            str(path), "t", "v", PREDICATE, follow=True,
-            poll_interval=0.01, push=got.append,
-            retry=Backoff(base=0.01, max_retries=3, seed=1),
-        ))
-        await asyncio.sleep(0.05)  # mid-tail, waiting for more lines
-        os.unlink(path)
-        final = await asyncio.wait_for(task, 10)
-        await server.drain()
-        return final, got
-
-    final, got = asyncio.run(scenario())
-    assert final is None
+    got = []
+    vanisher = later(0.05, lambda: os.unlink(path))  # mid-tail, at EOF
+    sess = follow_session(path, got, poll_interval=0.01, retry=retry)
+    vanisher.join(10)
+    assert not vanisher.is_alive()
+    assert sess is None
+    assert retry.attempts == 3
     errors = [e for e in got if e.get("e") == "error"]
     assert errors and errors[-1]["code"] == "source-lost"
     assert "retries" in errors[-1]["message"]

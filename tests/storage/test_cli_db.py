@@ -144,6 +144,48 @@ def test_watch_into_store(trace_file, tmp_path, capsys):
         store.close()
 
 
+def _commit_ops(db):
+    import sqlite3
+
+    conn = sqlite3.connect(db)
+    try:
+        rows = conn.execute("SELECT kind, ops FROM commits ORDER BY id")
+        return [(kind, json.loads(bytes(ops) if not isinstance(ops, str)
+                                  else ops)) for kind, ops in rows]
+    finally:
+        conn.close()
+
+
+def test_stream_ingest_journals_no_obs_op(trace_file, tmp_path, capsys):
+    """A chain built from a stream carries no ``["obs", null]`` op, and a
+    stream's trailing ``obs`` record still reopens with its block."""
+    from repro.trace.io import write_event_stream
+
+    dep = load_deposet(trace_file)
+    plain = str(tmp_path / "plain.jsonl")
+    write_event_stream(dep, plain)
+    db = db_of(tmp_path)
+    assert main(["ingest", plain, "--store", f"sqlite:{db}"]) == 0
+    commits = _commit_ops(db)
+    assert [kind for kind, _ops in commits] == ["init", "append"]
+    assert all(op[0] != "obs" for _kind, ops in commits for op in ops)
+
+    block = {"metrics": {"counters": {"sim.runs": 1}}}
+    with_obs = str(tmp_path / "obs.jsonl")
+    write_event_stream(dep, with_obs, obs=block)
+    db2 = str(tmp_path / "obs.db")
+    assert main(["ingest", with_obs, "--store", f"sqlite:{db2}"]) == 0
+    obs_ops = [op for _kind, ops in _commit_ops(db2) for op in ops
+               if op[0] == "obs"]
+    assert obs_ops == [["obs", block]]
+    store = TraceStore.open(f"sqlite:{db2}")
+    try:
+        assert store.obs == block
+        assert store.snapshot() == dep
+    finally:
+        store.close()
+
+
 def test_db_log_json_roundtrip(trace_file, tmp_path, capsys):
     db = db_of(tmp_path)
     assert main(["ingest", trace_file, "--store", f"sqlite:{db}"]) == 0
