@@ -13,9 +13,14 @@ not a full Kahn pass per refresh.  Two measurements:
   the headline: each side's time is the median of ``REPEATS`` runs,
   interleaved so machine drift hits both sides alike.
 * **Controller arrows** -- replay an off-line controller's build-verify
-  loop: verify after each control arrow.  The batch baseline pays
-  ``base.extended(arrows[:k])`` (full rebuild) per round; the index
+  loop: verify after each control arrow.  The batch baseline pays a full
+  rebuild over the messages and ``arrows[:k]`` per round; the index
   inserts each arrow with a downstream-cone recompute.
+* **Whole relation** -- insert the controller's whole relation at once
+  (``base.extended(arrows)``: one propagation over the union of the
+  arrows' downstream cones), against one batch :class:`CausalOrder` over
+  messages plus arrows.  Checking a controller must cost no more than a
+  batch build: the insert is gated at 1.5x the batch time.
 
 Both paths must produce byte-identical clock matrices, and the controller
 must derive the *same control relation* from a store-grown snapshot as
@@ -163,8 +168,8 @@ def test_e15_controller_arrows_incremental_vs_extended(benchmark):
 
             t0 = time.perf_counter()
             batch = None
-            for k in range(1, len(arrows) + 1):
-                batch = base.extended(arrows[:k])  # full Kahn per round
+            for k in range(1, len(arrows) + 1):  # full Kahn per round
+                batch = CausalOrder(base.state_counts, base.arrows + arrows[:k])
             batch_ms = (time.perf_counter() - t0) * 1e3
 
             t0 = time.perf_counter()
@@ -192,6 +197,62 @@ def test_e15_controller_arrows_incremental_vs_extended(benchmark):
     benchmark.extra_info["table"] = sweep.rows
     assert sweep.rows, "no workload produced control arrows"
     _write_json("controller", sweep.rows)
+
+
+def test_e15_relation_one_propagation_vs_batch(benchmark):
+    def run():
+        sweep = Sweep("E15: whole relation -- one extended() vs batch build")
+        for n, events in SIZES:
+            dep, pred = workload(n, events)
+            try:
+                arrows = list(control_disjunctive(dep, pred).control)
+            except NoControllerExistsError:
+                arrows = []
+            if not arrows:
+                continue
+            base = dep.base_order
+            inc_s, batch_s = [], []
+            for _ in range(REPEATS):
+                with METRICS.scoped() as scope:
+                    t0 = time.perf_counter()
+                    inc = base.extended(arrows)
+                    inc_s.append(time.perf_counter() - t0)
+                t0 = time.perf_counter()
+                batch = CausalOrder(base.state_counts, base.arrows + arrows)
+                batch_s.append(time.perf_counter() - t0)
+            for i in range(dep.n):
+                assert np.array_equal(
+                    inc.clock_matrix(i), batch.clock_matrix(i)
+                ), f"clock mismatch on process {i} (n={n}, events={events})"
+            inc_ms = statistics.median(inc_s) * 1e3
+            batch_ms = statistics.median(batch_s) * 1e3
+            sweep.add(
+                n=n,
+                events=dep.num_states - dep.n,
+                arrows=len(arrows),
+                repeats=REPEATS,
+                cone_events=scope.counter("index.cone_events"),
+                extended_ms=round(inc_ms, 2),
+                batch_ms=round(batch_ms, 2),
+                ratio=round(inc_ms / max(1e-9, batch_ms), 2),
+            )
+        return sweep
+
+    sweep = run_once(benchmark, run)
+    print("\n" + sweep.render())
+    benchmark.extra_info["table"] = sweep.rows
+    assert sweep.rows, "no workload produced control arrows"
+    # Deterministic claim: one propagation never visits more events than
+    # the batch build does.
+    for row in sweep.rows:
+        assert row["cone_events"] <= row["events"], row
+    if not TINY:
+        worst = max(sweep.column("ratio"))
+        assert worst <= 1.5, (
+            f"inserting a whole relation must cost at most 1.5x a batch "
+            f"build; got {worst}x"
+        )
+    _write_json("relation", sweep.rows)
 
 
 def test_e15_controller_output_identical_through_store(benchmark):

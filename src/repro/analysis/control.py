@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.findings import Finding
 from repro.analysis.raw import RawTrace
 from repro.analysis.sanitizer import find_event_cycle, valid_arrows
-from repro.causality.relations import CausalOrder
+from repro.causality.relations import CausalOrder, CycleError
 from repro.errors import NoControllerExistsError, NotDisjunctiveError
 from repro.predicates.base import Predicate
 from repro.predicates.disjunctive import as_disjunctive
@@ -119,15 +119,21 @@ def analyze_control(
 
     unique = [k for k in enforceable if k not in duplicates]
 
-    # C101: interference.  Cycle search over messages + control arrows,
-    # closing only through control arrows (messages-only cycles are the
-    # sanitizer's T011 and cannot occur here: the runner gates this pass
-    # on a sanitizer-clean trace).
+    # C101: interference.  The control arrows extend the underlying
+    # order (one propagation over their downstream cones); only when
+    # that closes a cycle does the witness search run, over messages +
+    # control arrows, closing only through control arrows (messages-only
+    # cycles are the sanitizer's T011 and cannot occur here: the runner
+    # gates this pass on a sanitizer-clean trace).
     combined = msgs + [raw.control[k].pair for k in unique]
-    cycle = find_event_cycle(
-        counts, combined, candidates=range(len(msgs), len(combined))
-    )
-    interferes = cycle is not None
+    order: Optional[CausalOrder] = None
+    cycle = None
+    try:
+        order = dep.base_order.extended(combined[len(msgs):])
+    except CycleError:
+        cycle = find_event_cycle(
+            counts, combined, candidates=range(len(msgs), len(combined))
+        )
     if cycle is not None:
         events, ci = cycle
         closing = raw.control[unique[ci - len(msgs)]]
@@ -147,15 +153,15 @@ def analyze_control(
 
     # C102: transitively redundant arrows -- already implied by the rest
     # of the extended relation.  Needs an acyclic relation to be
-    # meaningful (an interfering relation orders everything).
-    if not interferes:
+    # meaningful (an interfering relation orders everything).  The one
+    # extended order answers every arrow: in that DAG an arrow is implied
+    # iff another out-edge of its source reaches its target.  An arrow
+    # equal to a message was not linked again; the message implies it.
+    if order is not None:
+        sent = set(msgs)
         for k in unique:
             c = raw.control[k]
-            rest = msgs + [
-                raw.control[j].pair for j in unique if j != k
-            ]
-            order = CausalOrder(counts, rest)
-            if order.happened_before(c.src, c.dst):
+            if c.pair in sent or order.implied(c.src, c.dst):
                 findings.append(
                     Finding(
                         "C102",

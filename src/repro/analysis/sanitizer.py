@@ -17,7 +17,7 @@ extended relation (C101).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.raw import RawArrow, RawTrace
@@ -41,32 +41,49 @@ EventRef = Tuple[int, int]
 # -- event-graph cycle witnesses ---------------------------------------------
 
 
-def _event_edges(
-    counts: Sequence[int], arrows: Sequence[Tuple[Ref, Ref]]
-) -> Tuple[Dict[EventRef, List[EventRef]], List[Tuple[EventRef, EventRef]]]:
-    """Successor map of the event graph plus the arrow-induced edges.
-
-    Each arrow ``src -> dst`` contributes the edge ``leave(src) ->
-    enter(dst)``, i.e. event ``(src.proc, src.index)`` to event
-    ``(dst.proc, dst.index - 1)``; arrows collapsing to a single event
-    (``complete(s) == enter(s+1)``) are trivially satisfied and skipped,
-    mirroring :class:`~repro.causality.relations.CausalOrder`.
-    """
+def _successors(
+    counts: Sequence[int], arrow_edges: Sequence[Tuple[EventRef, EventRef]]
+) -> Dict[EventRef, List[EventRef]]:
+    """Successor map of the event graph: each event's chain edge first,
+    then its arrow edges in arrow order."""
     succ: Dict[EventRef, List[EventRef]] = {}
-    event_counts = [m - 1 for m in counts]
-    for i, ec in enumerate(event_counts):
-        for e in range(ec - 1):
-            succ.setdefault((i, e), []).append((i, e + 1))
-    arrow_edges: List[Tuple[EventRef, EventRef]] = []
-    for src, dst in arrows:
-        u: EventRef = (src[0], src[1])
-        v: EventRef = (dst[0], dst[1] - 1)
-        if u == v:
-            arrow_edges.append((u, v))
-            continue
-        succ.setdefault(u, []).append(v)
-        arrow_edges.append((u, v))
-    return succ, arrow_edges
+    for i, m in enumerate(counts):
+        for e in range(m - 2):
+            succ[i, e] = [(i, e + 1)]
+    for u, v in arrow_edges:
+        if u != v:
+            succ.setdefault(u, []).append(v)
+    return succ
+
+
+def _unordered_events(
+    counts: Sequence[int], arrow_edges: Sequence[Tuple[EventRef, EventRef]]
+) -> Set[EventRef]:
+    """The events Kahn's algorithm cannot order: those on a cycle of the
+    event graph or downstream of one.  Empty iff the graph is acyclic.
+    One cursor per process walks its chain; an event waits until every
+    arrow into it has fired."""
+    ends = [m - 1 for m in counts]
+    pending: Dict[EventRef, int] = {}
+    out: Dict[EventRef, List[EventRef]] = {}
+    for u, v in arrow_edges:
+        if u != v:
+            pending[v] = pending.get(v, 0) + 1
+            out.setdefault(u, []).append(v)
+    cursor = [0] * len(ends)
+    ready = deque(range(len(ends)))
+    while ready:
+        p = ready.popleft()
+        e = cursor[p]
+        while e < ends[p] and not pending.get((p, e)):
+            for d in out.get((p, e), ()):
+                pending[d] -= 1
+                q, f = d
+                if not pending[d] and q != p and cursor[q] == f:
+                    ready.append(q)
+            e += 1
+        cursor[p] = e
+    return {(p, e) for p, c in enumerate(cursor) for e in range(c, ends[p])}
 
 
 def find_event_cycle(
@@ -76,20 +93,31 @@ def find_event_cycle(
 ) -> Optional[Tuple[List[EventRef], int]]:
     """A minimal cycle of the event graph, or ``None`` when acyclic.
 
-    Tries to close a cycle through each arrow in ``candidates`` (indices
-    into ``arrows``; all of them by default): BFS from the arrow's target
+    One Kahn pass over the event graph first decides acyclicity, so an
+    acyclic graph (the common case) costs linear time.  Only when a cycle
+    exists does the search try to close one through each arrow in
+    ``candidates`` (indices into ``arrows``; all of them by default)
+    whose source event Kahn could not order: BFS from the arrow's target
     event back to its source event over the full graph yields the
     shortest path, so the returned cycle is minimal among cycles through
     any candidate.  Returns ``(events, arrow_index)`` -- the cycle as an
     event sequence (closing arrow implied from last back to first) and
     the index of the arrow that closes it.
     """
-    succ, arrow_edges = _event_edges(counts, arrows)
+    # Each arrow ``src -> dst`` is the edge ``leave(src) -> enter(dst)``:
+    # event ``(src.proc, src.index)`` to event ``(dst.proc, dst.index -
+    # 1)``.  Arrows collapsing to one event (``complete(s) ==
+    # enter(s+1)``) are trivially satisfied, as in CausalOrder.
+    arrow_edges = [((s[0], s[1]), (d[0], d[1] - 1)) for s, d in arrows]
+    cyclic = _unordered_events(counts, arrow_edges)
+    if not cyclic:
+        return None
+    succ = _successors(counts, arrow_edges)
     best: Optional[Tuple[List[EventRef], int]] = None
     for k in candidates if candidates is not None else range(len(arrows)):
         u, v = arrow_edges[k]
-        if u == v:
-            continue
+        if u == v or u not in cyclic:
+            continue  # an arrow out of an ordered event closes no cycle
         # Shortest path v ->* u; appending the closing edge u -> v (arrow
         # k) turns it into a cycle.
         parents: Dict[EventRef, Optional[EventRef]] = {v: None}

@@ -31,8 +31,8 @@ both a sender's pre-send state and the receiver's post-receive state cannot
 occur.
 
 The incremental :class:`repro.store.CausalIndex` reuses the same
-propagation over the downstream cone of an inserted arrow, and the same
-entered-state formula for an appended event.
+propagation over the downstream cones of a batch of inserted arrows, and
+the same entered-state formula for an appended event.
 """
 
 from __future__ import annotations
@@ -323,23 +323,32 @@ class CausalOrder:
                     return False
         return True
 
-    def extended(self, extra_arrows: Iterable[Arrow]) -> "CausalOrder":
-        """A new order with additional arrows (e.g. a control relation).
+    def implied(self, src: StateRef | Tuple[int, int],
+                dst: StateRef | Tuple[int, int]) -> bool:
+        """Is the arrow ``src -> dst``, one of this order's arrows, implied
+        by the rest of the order?
 
-        Arrows already present are skipped -- a duplicated arrow adds no
-        causality but would inflate the event graph and arrow counters.
-        Raises :class:`CycleError` when the extra arrows interfere with the
-        existing causality -- equivalently, when the extended computation
-        cannot be replayed without deadlock.
+        In the acyclic event graph the arrow is the edge ``leave(src) ->
+        enter(dst)``; the rest implies it iff another out-edge of
+        ``leave(src)`` -- the chain edge, another arrow, or a duplicate of
+        this one -- reaches ``enter(dst)``.  A path from such a successor
+        cannot use the arrow itself (that would close a cycle), so each
+        check is one clock lookup.  A same-process arrow is always implied
+        by the chain.  O(out-degree of ``leave(src)``).
         """
-        seen = set(self._arrows)
-        fresh: List[Arrow] = []
-        for a, b in extra_arrows:
-            arrow = (StateRef(*a), StateRef(*b))
-            if arrow not in seen:
-                seen.add(arrow)
-                fresh.append(arrow)
-        return CausalOrder(self.state_counts, self._arrows + fresh)
+        (sp, si), (dp, di) = src, dst
+        if sp == dp:
+            return True
+        target: EventRef = (dp, di - 1)
+        succ = list(self._out.get((sp, si), ()))
+        succ.remove(target)  # the arrow's own edge; ValueError if absent
+        if si + 2 < self.state_counts[sp]:
+            succ.append((sp, si + 1))  # the chain edge
+        clock = self._clocks[dp][di]
+        for q, g in succ:
+            if (g < di) if q == dp else (g <= clock[q]):
+                return True
+        return False
 
     @property
     def arrows(self) -> List[Arrow]:

@@ -468,8 +468,9 @@ def _stream_session(lines, label: str, tenant: str, predicate: str, emit,
     fires, through ``final`` and ``closed`` (whose ``seq`` counts every
     line after the header, as ``repro serve`` reports it).  A malformed
     record, a torn final line or a lost source instead ends the session
-    with one ``error`` event.  Returns the finalized session, or ``None``
-    after an error.
+    with an ``error`` event, then ``closed`` (``seq``: the lines read
+    after the header), as ``repro serve`` ends a failed session.
+    Returns the finalized session, or ``None`` after an error.
     """
     from repro.errors import MalformedTraceError, SourceLostError
     from repro.serve.protocol import event_closed, event_error
@@ -511,6 +512,7 @@ def _stream_session(lines, label: str, tenant: str, predicate: str, emit,
         if not sess.failed:
             send(sess.finalize() + [event_closed(tenant, label, sess.lines)])
             return sess
+    send([event_closed(tenant, label, sess.lines if sess is not None else 0)])
     if sess is not None:
         sess.close()
     return None

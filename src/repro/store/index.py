@@ -11,11 +11,13 @@ streaming trace store needs:
   order** (every arrow source already completed).  The new state's clock
   is the entered-state formula applied once: O(n) per event, the classic
   Fidge/Mattern maintenance.
-* :meth:`insert_arrows` / :meth:`extended` -- a new arrow between existing
-  states (a control arrow, or a message attached after the fact).  Only
-  the **downstream cone** of the arrow's target event can change, so the
-  index runs the same propagation over that cone instead of the whole
-  graph.
+* :meth:`insert_arrows` / :meth:`extended` -- new arrows between existing
+  states (a control relation, or a message attached after the fact).
+  Only the **downstream cones** of the arrows' target events can change,
+  so the index links every arrow of the batch and runs the same
+  propagation once over the union of those cones instead of the whole
+  graph.  A batch is all or nothing: when it closes a cycle the index is
+  left exactly as it was.
 
 Sharing discipline
 ------------------
@@ -113,11 +115,15 @@ class CausalIndex(CausalOrder):
     def extended(self, extra_arrows: Iterable[Arrow]) -> "CausalIndex":
         """A new order with additional arrows, without a full rebuild.
 
-        Same contract as :meth:`CausalOrder.extended` (``CycleError`` when
-        the arrows interfere, ``MalformedTraceError`` on bad endpoints;
-        arrows already present are skipped), but the cost is the downstream
-        cone of each new arrow, not a whole-trace Kahn pass.  ``self`` is
-        not modified.
+        Arrows already present (messages included) are skipped: a
+        duplicate adds no causality.  Raises ``MalformedTraceError`` on a
+        bad endpoint and :class:`CycleError` when the arrows interfere
+        with the existing causality -- equivalently, when the extended
+        computation cannot be replayed without deadlock; its
+        ``remaining`` names the same events a batch :class:`CausalOrder`
+        over all the arrows would.  The cost is one propagation over the
+        union of the new arrows' downstream cones, not a whole-trace pass
+        per arrow.  ``self`` is not modified.
         """
         twin = self._clone_shared(appendable=False)
         twin._insert(extra_arrows)
@@ -127,9 +133,11 @@ class CausalIndex(CausalOrder):
         """Insert arrows **in place** (the live store's mutation path).
 
         Returns the arrows actually inserted (duplicates of existing
-        arrows are skipped).  Raises before any mutation on endpoint
-        validation errors; a ``CycleError`` (interference) leaves the index
-        on the last acyclic prefix of the batch.
+        arrows are skipped).  All or nothing: an endpoint validation error
+        is raised before any mutation, and a ``CycleError`` (interference,
+        possibly among the batch's own arrows) leaves the index's arrows
+        and clocks exactly as they were before the call.  The whole batch
+        costs one propagation over the union of its downstream cones.
         """
         if not self._appendable:
             raise RuntimeError(
@@ -195,8 +203,12 @@ class CausalIndex(CausalOrder):
     # -- arrow insertion (cone recompute) -----------------------------------
 
     def _insert(self, arrows: Iterable[Arrow]) -> List[Arrow]:
-        base = list(self._arrows)
-        seen = set(base)
+        """Link every fresh arrow, then recompute the union of their
+        downstream cones with one propagation.  All or nothing: on a
+        ``CycleError`` the arrows are unlinked and the same region is
+        propagated again, which restores its clocks exactly (the region
+        stays successor-closed without the new edges)."""
+        seen = set(self._arrows)
         fresh: List[Arrow] = []
         for a, b in arrows:
             arrow = (StateRef(*a), StateRef(*b))
@@ -208,51 +220,45 @@ class CausalIndex(CausalOrder):
             return fresh
         for src, dst in fresh:
             check_arrow(self.state_counts, src, dst)
+        out, inn = self._out, self._in
+        undo = []  # (adjacency, event, its edges before the link)
+        stack: List[EventRef] = []
         for src, dst in fresh:
-            try:
-                self._insert_one(src, dst)
-            except CycleError:
-                # Delegate to a batch build over the same arrow set so the
-                # error payload (`remaining`) matches CausalOrder exactly.
-                CausalOrder(self.state_counts, base + fresh)
-                raise AssertionError(
-                    "batch rebuild did not reproduce the cycle"
-                )  # pragma: no cover
-        _INSERTS.inc(len(fresh))
-        return fresh
-
-    def _insert_one(self, src: StateRef, dst: StateRef) -> None:
-        src_ev: EventRef = (src.proc, src.index)
-        dst_ev: EventRef = (dst.proc, dst.index - 1)
-        if src_ev == dst_ev:
-            self._arrows.append((src, dst))
-            return
-        # Adding edge src_ev -> dst_ev creates a cycle iff dst_ev already
-        # happens-before-or-equals src_ev.
-        (sp, se), (dp, de) = src_ev, dst_ev
-        if sp == dp:
-            cyclic = de <= se
-        else:
-            # EC[sp][se][dp] (event clock of leave(src), component dp).
-            cyclic = int(self._clocks[sp][se + 1][dp]) >= de
-        if cyclic:
-            raise CycleError([dst_ev])
-        self._arrows.append((src, dst))
-        self._link(src, dst)
-        # Only the downstream cone of the new edge's target can change: on
-        # each process it reaches, a suffix from its first event reached.
+            src_ev: EventRef = (src.proc, src.index)
+            dst_ev: EventRef = (dst.proc, dst.index - 1)
+            if src_ev == dst_ev:
+                continue  # complete(s) == enter(s+1): no edge, no cone
+            undo.append((out, src_ev, out.get(src_ev)))
+            undo.append((inn, dst_ev, inn.get(dst_ev)))
+            stack.append(dst_ev)
+            self._link(src, dst)
+        n_arrows = len(self._arrows)
+        self._arrows.extend(fresh)
+        # Only the downstream cones of the new edges' targets can change:
+        # on each process they reach, a suffix from its first event reached.
         ends = [m - 1 for m in self.state_counts]
         start: Dict[int, int] = {}
-        stack = [dst_ev]
         while stack:
             p, e = stack.pop()
             first = start.get(p, ends[p])
             if e < first:
                 start[p] = e
                 for f in range(e, first):
-                    stack.extend(self._out.get((p, f), ()))
+                    stack.extend(out.get((p, f), ()))
         _CONE_EVENTS.inc(sum(ends[p] - e for p, e in start.items()))
-        self._propagate(start)
+        try:
+            self._propagate(start)
+        except CycleError:
+            del self._arrows[n_arrows:]
+            for adj, ev, old in reversed(undo):
+                if old is None:
+                    adj.pop(ev, None)
+                else:
+                    adj[ev] = old
+            self._propagate(start)
+            raise
+        _INSERTS.inc(len(fresh))
+        return fresh
 
     def _row(self, p: int, b: int) -> np.ndarray:
         if not self._owned[p] or b < self._watermark[p]:

@@ -21,7 +21,7 @@ from typing import (
     Tuple,
 )
 
-from repro.causality.relations import CausalOrder, CycleError, StateRef
+from repro.causality.relations import CycleError, StateRef
 from repro.errors import InterferenceError, MalformedTraceError
 from repro.store.columns import ColumnBlock, pack_block
 from repro.store.index import CausalIndex
@@ -235,7 +235,7 @@ class Deposet:
         return tuple(out)
 
     @cached_property
-    def base_order(self) -> CausalOrder:
+    def base_order(self) -> CausalIndex:
         """Happened-before of the *underlying* computation (no control)."""
         return CausalIndex(
             self.state_counts,
@@ -244,7 +244,7 @@ class Deposet:
         )
 
     @cached_property
-    def order(self) -> CausalOrder:
+    def order(self) -> CausalIndex:
         """Happened-before of the (possibly extended) computation."""
         if not self._control:
             return self.base_order
@@ -299,9 +299,10 @@ class Deposet:
         interferes with the underlying causality.
 
         The extended causality is derived **incrementally** from this
-        deposet's order (only the downstream cone of each new arrow is
-        recomputed), so a controller's build-verify loop does not pay a
-        full Kahn pass per arrow.
+        deposet's order: all the new arrows are linked at once and one
+        propagation recomputes the union of their downstream cones, so a
+        whole control relation costs about one batch build, not a pass
+        per arrow.
         """
         seen = set(self._control)
         fresh: List[ControlArrow] = []

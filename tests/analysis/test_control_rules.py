@@ -1,11 +1,14 @@
 """The control-relation analyzer: C101--C107."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.control import analyze_control
 from repro.analysis.findings import Report
 from repro.analysis.runner import _underlying_deposet
+from repro.analysis.sanitizer import find_event_cycle
 from repro.cli import parse_predicate
 from repro.core import overlap
 from repro.predicates import FalseInterval, false_intervals
@@ -16,7 +19,11 @@ from repro.workloads import (
     random_server_trace,
 )
 
-from ..oracles import find_overlapping_intervals
+from ..oracles import (
+    analyze_control_rebuild,
+    find_event_cycle_bfs,
+    find_overlapping_intervals,
+)
 from .conftest import parse_clean
 
 
@@ -157,3 +164,68 @@ def test_c107_local_predicate_false_at_final_state(chain_dict):
     pred = parse_predicate("at-least-one:up", 3)
     found = run(chain_dict, predicate=pred)
     assert "C107" in ids(found)
+
+
+# -- the linear checks equal their per-arrow forms ---------------------------
+
+
+def random_control_doc(seed):
+    """A random deposet's batch document plus a random control relation:
+    cyclic and redundant arrows, duplicates, same-process arrows, arrows
+    equal to a message, and unenforceable ones (C103)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    dep = random_deposet(n=n, events_per_proc=rng.randint(2, 6),
+                         message_rate=rng.uniform(0.1, 0.7), flip_rate=0.4,
+                         seed=seed)
+    counts = dep.state_counts
+    control = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if roll < 0.15 and dep.messages:
+            m = rng.choice(dep.messages)
+            control.append([list(m.src), list(m.dst)])
+        elif roll < 0.3 and control:
+            control.append(rng.choice(control))
+        else:
+            i, j = rng.randrange(n), rng.randrange(n)
+            control.append([[i, rng.randrange(counts[i])],
+                            [j, rng.randrange(counts[j])]])
+    doc = deposet_to_dict(dep)
+    doc["control"] = control
+    return dep, doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=1_000_000), st.booleans())
+def test_control_checks_equal_per_arrow_oracles(seed, with_predicate):
+    """C101 (Kahn first, BFS only on a cycle) and C102 (one order, one
+    clock lookup per out-edge) equal the BFS-per-arrow search and the
+    per-arrow rebuild, as full findings in order."""
+    dep, doc = random_control_doc(seed)
+    pred = availability_predicate(dep.n, "up") if with_predicate else None
+    found = run(doc, predicate=pred)
+    expect = analyze_control_rebuild(parse_clean(doc), found)
+    assert [f.to_dict() for f in found] == [f.to_dict() for f in expect]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_find_event_cycle_equals_bfs_per_arrow(seed):
+    """Any arrows whose events exist (backwards, same-event and repeated
+    ones included), any candidate subset."""
+    rng = random.Random(seed)
+    counts = [rng.randint(2, 6) for _ in range(rng.randint(1, 4))]
+    arrows = []
+    for _ in range(rng.randint(0, 9)):
+        i, j = rng.randrange(len(counts)), rng.randrange(len(counts))
+        arrows.append(((i, rng.randrange(counts[i] - 1)),
+                       (j, rng.randrange(1, counts[j]))))
+    if arrows and rng.random() < 0.3:
+        arrows.append(rng.choice(arrows))
+    candidates = None
+    if rng.random() < 0.5:
+        candidates = sorted(rng.sample(range(len(arrows)),
+                                       rng.randint(0, len(arrows))))
+    assert find_event_cycle(counts, arrows, candidates) == \
+        find_event_cycle_bfs(counts, arrows, candidates)

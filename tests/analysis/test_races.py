@@ -1,9 +1,21 @@
 """The message-race detector: R301--R303."""
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis.races import detect_races
 from repro.analysis.runner import lint_deposet
+from repro.errors import InterferenceError
 from repro.trace import ComputationBuilder
-from repro.workloads import philosophers_trace
+from repro.workloads import (
+    philosophers_trace,
+    random_deposet,
+    random_server_trace,
+)
+
+from ..oracles import detect_races_pairwise
 
 
 def ids(findings):
@@ -100,3 +112,33 @@ def test_witness_cap_mentions_overflow():
     (f,) = detect_races(b.build())
     assert f.rule_id == "R301"
     assert "more" in f.message
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["random", "server"]), st.integers(0, 1_000_000))
+def test_races_equal_pairwise_oracle(kind, seed):
+    """The clock-matrix scans equal one ``concurrent`` query per pair:
+    same findings in the same order, R301 witness cap and ``pairs``
+    totals included.  Control arrows do not change the verdicts: races
+    are judged on the underlying computation."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    if kind == "random":
+        dep = random_deposet(n=n, events_per_proc=rng.randint(1, 14),
+                             message_rate=rng.random(),
+                             flip_rate=rng.random(), seed=seed)
+    else:
+        dep = random_server_trace(n=n, outages_per_server=rng.randint(1, 4),
+                                  message_rate=rng.random(), seed=seed)
+    arrows = []
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j and dep.state_counts[i] > 1 and dep.state_counts[j] > 1:
+            arrows.append(((i, rng.randrange(dep.state_counts[i] - 1)),
+                           (j, rng.randrange(1, dep.state_counts[j]))))
+    try:
+        dep = dep.with_control(arrows)
+    except InterferenceError:
+        pass
+    assert [f.to_dict() for f in detect_races(dep)] == \
+        [f.to_dict() for f in detect_races_pairwise(dep)]

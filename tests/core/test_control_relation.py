@@ -1,12 +1,23 @@
 """Tests for ControlRelation (the control-strategy value type)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.causality import StateRef
+from repro.causality.relations import CycleError
 from repro.core import ControlRelation, control_disjunctive
 from repro.errors import InterferenceError
 from repro.trace import ComputationBuilder
-from repro.workloads import mutex_predicate, mutex_trace
+from repro.workloads import (
+    mutex_predicate,
+    mutex_trace,
+    random_deposet,
+)
+
+from ..oracles import minimized_greedy
 
 
 def chain_dep(k=4):
@@ -98,6 +109,56 @@ def test_minimized_on_algorithm_output_still_verifies():
     minimized = res.control.minimized(dep)
     assert len(minimized) <= len(res.control)
     verify_control(dep, pred, minimized)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_minimized_equals_greedy_rebuild_loop(seed):
+    """One order and one redundancy test per arrow reproduce the greedy
+    reverse-order loop exactly, on deposets that already carry control
+    arrows and on relations with arrows equal to a message or to one of
+    the deposet's own control arrows."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    dep = random_deposet(n=n, events_per_proc=rng.randint(2, 7),
+                         message_rate=rng.uniform(0.1, 0.6), seed=seed)
+
+    procs = [i for i in range(n) if dep.state_counts[i] > 1]
+
+    def random_arrows(k):
+        out = []
+        for _ in range(k if len(procs) > 1 else 0):
+            i, j = rng.sample(procs, 2)
+            out.append(((i, rng.randrange(dep.state_counts[i] - 1)),
+                        (j, rng.randrange(1, dep.state_counts[j]))))
+        return out
+
+    def acyclic(base, arrows):
+        kept = []
+        for arrow in arrows:
+            try:
+                base.with_control(kept + [arrow])
+            except InterferenceError:
+                continue
+            kept.append(arrow)
+        return kept
+
+    dep = dep.with_control(acyclic(dep, random_arrows(rng.randint(0, 2))))
+    arrows = acyclic(dep, random_arrows(rng.randint(1, 8)))
+    if dep.messages and rng.random() < 0.5:
+        m = rng.choice(dep.messages)
+        arrows.append((m.src, m.dst))
+    if dep.control_arrows and rng.random() < 0.5:
+        arrows.append(rng.choice(dep.control_arrows))
+    relation = ControlRelation(arrows)
+    assert list(relation.minimized(dep)) == minimized_greedy(relation, dep)
+
+
+def test_minimized_raises_on_interfering_relation():
+    dep = chain_dep(3)
+    r = ControlRelation([((0, 1), (1, 2)), ((1, 2), (0, 1))])
+    with pytest.raises(CycleError):
+        r.minimized(dep)
 
 
 def test_repr_truncates():

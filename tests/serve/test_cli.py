@@ -122,13 +122,18 @@ def test_tail_json_equals_watch_json(stream_file, capsys, monkeypatch, kind):
     if kind in ("clean", "obs"):
         assert tail_rc in (0, 1) and tail[-1]["e"] == "closed"
         return
-    # lines 2..8 were applied before the bad line 9
+    # lines 2..8 were applied before the bad line 9; as in ``repro
+    # serve``, ``closed`` follows the error and counts the lines read
     assert tail_rc == 3
-    error = tail[-1]
+    error, closed = tail[-2:]
     assert error["e"] == "error" and error["code"] == "malformed"
     assert error["seq"] == 7 and error["where"] == f"{path}:9"
+    assert closed["e"] == "closed"
     if kind == "torn":
         assert "the writer may still be appending" in error["message"]
+        assert closed["seq"] == 7  # the torn line was never read whole
+    else:
+        assert closed["seq"] == 8
 
 
 def test_watch_json_reports_malformed_record_as_error_event(stream_file,
@@ -136,13 +141,15 @@ def test_watch_json_reports_malformed_record_as_error_event(stream_file,
     path = str(variant(stream_file, "malformed"))
     rc, events = run_json(capsys, ["watch", path, "--predicate", PREDICATE])
     assert rc == 3
-    assert events[-1]["e"] == "error" and events[-1]["code"] == "malformed"
-    assert events[-1]["where"] == f"{path}:9"
-    assert "must be a process index" in events[-1]["message"]
+    error = events[-2]
+    assert error["e"] == "error" and error["code"] == "malformed"
+    assert error["where"] == f"{path}:9"
+    assert "must be a process index" in error["message"]
+    assert events[-1]["e"] == "closed"
     # text mode keeps its one stderr line
     assert main(["watch", path, "--predicate", PREDICATE]) == 3
     captured = capsys.readouterr()
-    assert captured.err == f"error: {events[-1]['message']}\n"
+    assert captured.err == f"error: {error['message']}\n"
     assert "error" not in captured.out
 
 

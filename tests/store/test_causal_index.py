@@ -201,7 +201,9 @@ def test_failed_insert_leaves_index_usable():
 
 def test_extended_dedupes_repeated_arrows():
     base = CausalOrder([3, 3], [(StateRef(0, 0), StateRef(1, 1))])
-    again = base.extended([(StateRef(0, 0), StateRef(1, 1))])
+    again = CausalIndex.from_order(base).extended(
+        [(StateRef(0, 0), StateRef(1, 1))]
+    )
     assert len(again.arrows) == len(base.arrows) == 1
     idx = CausalIndex.from_order(base)
     idx.insert_arrows([(StateRef(0, 0), StateRef(1, 1))])
@@ -357,3 +359,79 @@ def test_arbitrary_arrow_sets_match_oracle(seed):
     for arrow in arrows:
         idx.insert_arrows([arrow])
     assert_matches_oracle(idx, counts, arrows)
+
+
+# -- batch inserts: one propagation, all or nothing --------------------------
+
+
+def test_cyclic_batch_leaves_live_index_unchanged():
+    """A batch whose last two arrows, each acyclic alone, close a cycle
+    only together, after a first arrow whose cone the propagation gets
+    through: the live index keeps its arrows and clocks (a snapshot too),
+    names the batch order's cycle cone, and later appends and inserts
+    still match a fresh order."""
+    idx = CausalIndex([1, 1, 1])
+    for _ in range(4):
+        idx.append_event(0)
+        idx.append_event(1)
+    idx.append_event(2)
+    idx.insert_arrows([(StateRef(0, 0), StateRef(1, 1))])
+    frozen = idx.freeze()
+    arrows = idx.arrows
+    clocks = [idx.clock_matrix(i).copy() for i in range(3)]
+    batch = [
+        (StateRef(2, 0), StateRef(0, 1)),  # reorders all of process 0
+        (StateRef(0, 2), StateRef(1, 3)),
+        (StateRef(1, 2), StateRef(0, 3)),
+    ]
+    for arrow in batch:
+        idx.extended([arrow])  # each alone is fine
+    with pytest.raises(CycleError) as caught:
+        CausalOrder(idx.state_counts, arrows + batch)
+    expect = caught.value.remaining
+    with pytest.raises(CycleError) as caught:
+        idx.insert_arrows(batch)
+    assert caught.value.remaining == expect
+    assert idx.arrows == arrows
+    for i in range(3):
+        assert np.array_equal(idx.clock_matrix(i), clocks[i])
+        assert np.array_equal(frozen.clock_matrix(i), clocks[i])
+    idx.append_event(0, [(1, 2)])
+    idx.append_event(1)
+    idx.insert_arrows([(StateRef(0, 3), StateRef(1, 4)), batch[0]])
+    assert_orders_equal(idx, CausalOrder(idx.state_counts, idx.arrows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_random_batches_match_batch_order(seed):
+    """A batch of random arrows inserted at once into a live index with
+    messages: the clocks of a batch build on success; on a cycle, its
+    exact payload and an untouched index."""
+    rng = random.Random(seed)
+    dep = random_deposet(seed=seed, **SMALL)
+    idx = TraceStore.from_deposet(dep).index
+    counts = list(idx.state_counts)
+    before = idx.arrows
+    clocks = [idx.clock_matrix(i).copy() for i in range(dep.n)]
+    procs = [i for i, m in enumerate(counts) if m > 1]
+    batch = []
+    for _ in range(rng.randint(1, 6) if procs else 0):
+        i, j = rng.choice(procs), rng.choice(procs)
+        src = StateRef(i, rng.randrange(counts[i] - 1))
+        dst = StateRef(j, rng.randrange(1, counts[j]))
+        if i != j or src.index < dst.index:
+            batch.append((src, dst))
+    try:
+        expect = CausalOrder(counts, before + batch)
+    except CycleError as batch_exc:
+        with pytest.raises(CycleError) as caught:
+            idx.insert_arrows(batch)
+        assert caught.value.remaining == batch_exc.remaining
+        assert idx.arrows == before
+        for i in range(dep.n):
+            assert np.array_equal(idx.clock_matrix(i), clocks[i])
+        return
+    idx.insert_arrows(batch)
+    assert_orders_equal(idx, expect)
+    assert_matches_oracle(idx, counts, idx.arrows)

@@ -87,7 +87,9 @@ def test_watch_json_reports_truncation_as_error_event(stream_file, capsys):
                "--format", "json"])
     assert rc == 3
     events = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
-    assert events[-1]["e"] == "error"
-    assert events[-1]["code"] == "malformed"
-    assert "truncated" in events[-1]["message"]
-    assert events[-1]["where"].startswith(str(stream_file))
+    error, closed = events[-2:]
+    assert error["e"] == "error"
+    assert error["code"] == "malformed"
+    assert "truncated" in error["message"]
+    assert error["where"].startswith(str(stream_file))
+    assert closed["e"] == "closed"  # as repro serve ends a failed session
