@@ -1013,7 +1013,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("control", help="off-line predicate control")
     p.add_argument("trace")
     p.add_argument("--predicate", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="draw the paper's select() at random from this seed "
+                        "(default: its deterministic first-element order)")
     p.add_argument("--minimize", action="store_true",
                    help="drop arrows implied transitively")
     p.add_argument("-o", "--output", help="write the controlled trace here")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import StorageCorruptError, StorageError
-from repro.storage.sqlite import list_branches
+from repro.storage.sqlite import delete_branch, list_branches
 from repro.store.trace_store import TraceStore, parse_store_target
 
 __all__ = ["ensure_base_trace", "record_control_branch"]
@@ -65,10 +65,17 @@ def record_control_branch(
     """Record one candidate control relation as a branch of ``target``.
 
     Forks ``main`` (populating it from ``dep`` first if the store is
-    fresh), applies ``control``'s arrows on the fork, and commits them as
-    one ``kind`` commit carrying ``meta`` (the replay verdict).  Returns
-    ``(branch name, verdict commit id)``.  Branch names default to
-    ``candidate-K``, first free ``K``.
+    fresh), inserts ``control``'s arrows on the fork as one batch (one
+    propagation), and commits them as one ``kind`` commit carrying
+    ``meta`` (the replay verdict).  Returns ``(branch name, verdict commit
+    id)``.  Branch names default to ``candidate-K``, first free ``K``.
+
+    The chain is replayed at most once (to reopen ``main``); the fork
+    copies that store's memory.  Recording is all or nothing: when the
+    relation is rejected (a bad endpoint, or arrows that interfere with
+    the computation) or the commit fails, the forked branch is deleted
+    again, so no ``candidate-K`` is left at ``main``'s head without its
+    arrows.
     """
     _scheme, path = parse_store_target(target)
     store = ensure_base_trace(target, dep)
@@ -84,12 +91,14 @@ def record_control_branch(
         store.close()
     try:
         arrows = list(control)
-        for src, dst in arrows:
-            fork.append_control(src, dst)
+        fork.append_controls(arrows)
         full_meta = {"arrows": len(arrows)}
         full_meta.update(meta or {})
         cid = fork.commit(kind=kind, message=f"candidate {name}",
                           meta=full_meta)
+    except BaseException:
+        delete_branch(path, name)
+        raise
     finally:
         fork.close()
     return name, cid

@@ -42,11 +42,23 @@ like the stream writer does.
 Crash safety
 ------------
 Every commit -- ops row, page rows, branch-head bump -- is one SQLite
-transaction.  A crash mid-commit rolls back to the previous commit on
-reopen; appends since the last commit are lost by design (the WAL layer
-of ``repro serve --durable`` covers finer granularity).  CRC failures on
-reopen raise :class:`~repro.errors.StorageCorruptError` naming the
-damaged commit/page instead of guessing.
+transaction.  Creating a store is one transaction too: the schema (its
+DDL skipped when the tables exist), the format and shape rows and the
+``init`` commit land together, so a crash or error mid-create leaves an
+uninitialised store, never one with a shape but no chain.  A crash
+mid-commit rolls back to the previous commit on reopen; appends since
+the last commit are lost by design (the WAL layer of ``repro serve
+--durable`` covers finer granularity).  CRC failures on reopen raise
+:class:`~repro.errors.StorageCorruptError` naming the damaged
+commit/page instead of guessing, as do ops that replay to no valid
+computation.
+
+Cost
+----
+Each chain verb is one SQLite transaction and at most one index
+propagation: a reopen decodes the chain's ops and builds the causal
+index in one batch; :meth:`SqliteStore.branch` copies the open store's
+memory (no replay) and writes one branch row.
 """
 
 from __future__ import annotations
@@ -60,12 +72,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.causality.relations import StateRef
 from repro.errors import (
+    MalformedTraceError,
     StorageCorruptError,
     StorageError,
     UnknownBranchError,
 )
 from repro.obs.metrics import METRICS
 from repro.store.columns import ColumnBlock, pack_block
+from repro.store.index import CausalIndex
 from repro.store.trace_store import TraceStore
 from repro.trace.states import MessageArrow
 
@@ -125,6 +139,7 @@ CREATE TABLE IF NOT EXISTS pages (
     PRIMARY KEY (commit_id, proc, page)
 );
 """
+_TABLES = frozenset(("meta", "commits", "branches", "pages"))
 
 
 def _jsonable(value: Any) -> Any:
@@ -135,6 +150,23 @@ def _jsonable(value: Any) -> Any:
         return {"__repr__": repr(value)}
 
 
+def _page_body(entries: List[Dict[str, Any]]) -> bytes:
+    """A page's stored bytes: one ``json.dumps`` of its variable dicts.
+
+    Only a page holding a value JSON cannot encode pays the per-value
+    :func:`_jsonable` pass, which writes the same bytes for every value
+    that does encode.
+    """
+    try:
+        body = json.dumps(entries, separators=(",", ":"))
+    except (TypeError, ValueError):
+        body = json.dumps(
+            [{k: _jsonable(v) for k, v in d.items()} for d in entries],
+            separators=(",", ":"),
+        )
+    return body.encode("utf-8")
+
+
 def _crc(body: bytes) -> int:
     return zlib.crc32(body) & 0xFFFFFFFF
 
@@ -143,6 +175,35 @@ def _connect(path: str) -> sqlite3.Connection:
     conn = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
     conn.row_factory = sqlite3.Row
     return conn
+
+
+def _tables(conn: sqlite3.Connection, path: str) -> set:
+    """Names of the tables ``conn``'s database already has."""
+    try:
+        return {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    except sqlite3.DatabaseError as exc:
+        raise StorageCorruptError(
+            f"{path}: not a repro trace store ({exc})"
+        ) from exc
+
+
+def _init_schema(conn: sqlite3.Connection, tables: set) -> None:
+    """Open a transaction holding the schema and the format row.
+
+    The DDL is skipped when every table already exists.  The explicit
+    ``BEGIN`` keeps the DDL in the transaction (``sqlite3`` would run it
+    in autocommit otherwise); the caller's ``with conn`` ends it.
+    """
+    conn.execute("BEGIN")
+    if not _TABLES <= tables:
+        for ddl in _SCHEMA.split(";"):
+            if ddl.strip():
+                conn.execute(ddl.strip())
+    conn.execute(
+        "INSERT OR IGNORE INTO meta (key, value) VALUES ('format', ?)",
+        (STORE_FORMAT,),
+    )
 
 
 def _read_meta(conn: sqlite3.Connection) -> Dict[str, str]:
@@ -161,12 +222,9 @@ def init_db(path: str) -> None:
     """
     conn = _connect(path)
     try:
+        tables = _tables(conn, path)
         with conn:
-            conn.executescript(_SCHEMA)
-            conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES ('format', ?)",
-                (STORE_FORMAT,),
-            )
+            _init_schema(conn, tables)
     finally:
         conn.close()
 
@@ -293,19 +351,10 @@ class SqliteStore(TraceStore):
             raise StorageError(f"{path}: no such trace store")
         conn = _connect(path)
         try:
-            try:
-                with conn:
-                    conn.executescript(_SCHEMA)
-                    conn.execute(
-                        "INSERT OR IGNORE INTO meta (key, value) "
-                        "VALUES ('format', ?)", (STORE_FORMAT,),
-                    )
-            except sqlite3.DatabaseError as exc:
-                raise StorageCorruptError(
-                    f"{path}: not a repro trace store ({exc})"
-                ) from exc
-            meta = _read_meta(conn)
-            _check_format(meta, path)
+            tables = _tables(conn, path)
+            meta = _read_meta(conn) if "meta" in tables else {}
+            if meta:
+                _check_format(meta, path)
             if "n" not in meta:
                 if n is None:
                     raise StorageError(
@@ -313,8 +362,8 @@ class SqliteStore(TraceStore):
                         f"the header shape (process count)"
                     )
                 return cls._create(
-                    conn, path, n, start_vars, proc_names, start_times,
-                    branch, page_size, cache_pages,
+                    conn, path, tables, n, start_vars, proc_names,
+                    start_times, branch, page_size, cache_pages,
                 )
             if n is not None and int(meta["n"]) != n:
                 raise StorageError(
@@ -335,15 +384,19 @@ class SqliteStore(TraceStore):
             raise
 
     @classmethod
-    def _create(cls, conn, path, n, start_vars, proc_names, start_times,
-                branch, page_size, cache_pages) -> "SqliteStore":
+    def _create(cls, conn, path, tables, n, start_vars, proc_names,
+                start_times, branch, page_size, cache_pages) -> "SqliteStore":
         if branch != "main":
             raise StorageError(
                 "a fresh store starts on branch 'main'; fork from there"
             )
         self = cls(conn, path, n, start_vars, proc_names, start_times,
                    branch, page_size, cache_pages)
+        self._recording = True
+        # One transaction: schema, format and shape rows, init commit (the
+        # commit's own ``with conn`` commits it; an error rolls all back).
         with conn:
+            _init_schema(conn, tables)
             for key, value in (
                 ("n", str(n)),
                 ("proc_names", json.dumps(list(self.proc_names))),
@@ -356,8 +409,7 @@ class SqliteStore(TraceStore):
                     "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                     (key, value),
                 )
-        self._recording = True
-        self.commit(kind="init", message="trace created")
+            self.commit(kind="init", message="trace created")
         return self
 
     @classmethod
@@ -382,8 +434,7 @@ class SqliteStore(TraceStore):
                    branch, int(meta.get("page_size", DEFAULT_PAGE_SIZE)),
                    cache_pages)
         rows = _chain_rows(conn, head, path)
-        for crow in rows:
-            self._apply_ops(_decode_ops(crow, path), crow["id"])
+        self._load_chain(rows)
         tip = rows[-1]
         counts = tuple(json.loads(tip["counts"]))
         if self.state_counts != counts:
@@ -414,45 +465,71 @@ class SqliteStore(TraceStore):
         _REOPENS.inc()
         return self
 
-    def _apply_ops(self, ops: List[List[Any]], cid: int) -> None:
-        """Rebuild in-memory bookkeeping from one commit's op batch.
+    def _load_chain(self, rows: List[sqlite3.Row]) -> None:
+        """Rebuild in-memory bookkeeping from the chain's op batches.
 
-        Variable values are *not* materialised (they live in pages); the
-        causal index is extended event-by-event exactly as the original
-        appends did, so clocks come out identical to the live run's.
+        Variable values are *not* materialised (they live in pages).  The
+        ops give the state counts and every arrow in journal order; the
+        causal index is then built over them with one batch propagation,
+        whose clocks equal the ones the original appends produced.  Ops
+        that do not form a computation raise
+        :class:`~repro.errors.StorageCorruptError`.
         """
-        for op in ops:
-            kind = op[0]
-            if kind == "ev" or kind == "recv":
-                proc, time = int(op[1]), op[2]
-                src = StateRef(*op[3]) if kind == "recv" else None
-                entered = self.index.append_event(
-                    proc, [src] if src is not None else [])
-                if self._times is not None:
-                    self._times[proc].append(
-                        float(time) if time is not None
-                        else self._times[proc][-1]
-                    )
-                if src is not None:
-                    self._add_message(
-                        MessageArrow(src, entered, payload=op[4], tag=op[5]))
-            elif kind == "msg":
-                msg = MessageArrow(StateRef(*op[1]), StateRef(*op[2]),
-                                   payload=op[3], tag=op[4])
-                self.index.insert_arrows([(msg.src, msg.dst)])
-                self._add_message(msg)
-                self.epoch += 1
-            elif kind == "ctl":
-                arrow = (StateRef(*op[1]), StateRef(*op[2]))
-                self.index.insert_arrows([arrow])
-                self._add_control(arrow)
-                self.epoch += 1
-            elif kind == "obs":
-                self.obs = op[1]  # not recording yet: no re-journal
-            else:
-                raise StorageCorruptError(
-                    f"{self.path}: commit #{cid} holds unknown op {kind!r}"
-                )
+        counts = [1] * self.n
+        arrows: List[Tuple[StateRef, StateRef]] = []
+        for crow in rows:
+            cid = crow["id"]
+            for op in _decode_ops(crow, self.path):
+                kind = op[0]
+                try:
+                    if kind == "ev" or kind == "recv":
+                        proc, time = int(op[1]), op[2]
+                        if not 0 <= proc < self.n:
+                            raise ValueError(f"no process {proc}")
+                        entered = StateRef(proc, counts[proc])
+                        counts[proc] += 1
+                        if self._times is not None:
+                            self._times[proc].append(
+                                float(time) if time is not None
+                                else self._times[proc][-1]
+                            )
+                        if kind == "recv":
+                            msg = MessageArrow(StateRef(*op[3]), entered,
+                                               payload=op[4], tag=op[5])
+                            self._add_message(msg)
+                            arrows.append((msg.src, msg.dst))
+                    elif kind == "msg":
+                        msg = MessageArrow(StateRef(*op[1]), StateRef(*op[2]),
+                                           payload=op[3], tag=op[4])
+                        self._add_message(msg)
+                        arrows.append((msg.src, msg.dst))
+                        self.epoch += 1
+                    elif kind == "ctl":
+                        arrow = (StateRef(*op[1]), StateRef(*op[2]))
+                        self._add_control(arrow)
+                        arrows.append(arrow)
+                        self.epoch += 1
+                    elif kind == "obs":
+                        self.obs = op[1]  # not recording yet: no re-journal
+                    else:
+                        raise StorageCorruptError(
+                            f"{self.path}: commit #{cid} holds unknown op "
+                            f"{kind!r}"
+                        )
+                except (IndexError, TypeError, ValueError) as exc:
+                    raise StorageCorruptError(
+                        f"{self.path}: commit #{cid} holds a malformed "
+                        f"{kind!r} op ({exc})"
+                    ) from exc
+        # The live appends skipped an arrow already in the index (a
+        # control arrow on a message's endpoints): so does the batch.
+        try:
+            self.index = CausalIndex(counts, dict.fromkeys(arrows))
+        except MalformedTraceError as exc:
+            raise StorageCorruptError(
+                f"{self.path}: the chain up to commit #{rows[-1]['id']} is "
+                f"not a valid computation ({exc})"
+            ) from exc
 
     # -- journaling storage primitives ------------------------------------------
 
@@ -616,11 +693,7 @@ class SqliteStore(TraceStore):
                     entries.extend(
                         self._vars[proc][max(lo, start) - start:hi - start]
                     )
-                    body = json.dumps(
-                        [{k: _jsonable(v) for k, v in d.items()}
-                         for d in entries],
-                        separators=(",", ":"),
-                    ).encode("utf-8")
+                    body = _page_body(entries)
                     prow = self._conn.execute(
                         "INSERT INTO pages (commit_id, proc, page, upto, "
                         "body, crc) VALUES (?, ?, ?, ?, ?, ?)",
@@ -648,8 +721,10 @@ class SqliteStore(TraceStore):
         """Fork the current state as branch ``name`` (one row, COW).
 
         Pending appends are committed first so the fork point is a real
-        commit; the fork opens its own connection and never touches the
-        parent branch's rows again.
+        commit.  The fork is :meth:`TraceStore.branch`'s copy of this
+        store's memory (no replay of the chain) with its own connection
+        and page map, sharing the decoded pages already cached; it never
+        touches the parent branch's rows again.
         """
         head = self.commit(kind="append", message=f"auto-commit before "
                                                   f"branch {name!r}")
@@ -658,14 +733,20 @@ class SqliteStore(TraceStore):
         ).fetchone()
         if existing is not None:
             raise StorageError(f"{self.path}: branch {name!r} already exists")
+        fork = super().branch(name)
+        fork.branch_name = name
+        fork._persisted = list(self._persisted)
+        fork._pending = []
+        fork._page_map = dict(self._page_map)
+        fork._page_cache = OrderedDict(self._page_cache)
+        fork._block_cache = OrderedDict(self._block_cache)
         with self._conn:
             self._conn.execute(
                 "INSERT INTO branches (name, head, forked_from) "
                 "VALUES (?, ?, ?)", (name, head, self.branch_name),
             )
-        return SqliteStore.open_path(self.path, branch=name,
-                                     page_size=self.page_size,
-                                     cache_pages=self._cache_pages)
+        fork._conn = _connect(self.path)
+        return fork
 
     def close(self) -> None:
         if self._conn is not None:

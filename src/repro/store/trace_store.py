@@ -32,10 +32,11 @@ Append discipline
 * :meth:`append_state` -- one event in causal delivery order.  When the
   event is a receive, pass ``received_from`` so the message arrow joins at
   append time (O(n)); D3 (one message per event) is enforced here.
-* :meth:`append_control` -- a control arrow between existing states;
-  updates only the downstream cone of the target.  Bumps :attr:`epoch`
-  (arrows rewrite the causal past, so incremental detectors must
-  re-examine earlier conclusions).
+* :meth:`append_controls` -- a batch of control arrows between existing
+  states (:meth:`append_control` is the one-arrow form); one propagation
+  updates the union of the targets' downstream cones, all or nothing.
+  Bumps :attr:`epoch` (arrows rewrite the causal past, so incremental
+  detectors must re-examine earlier conclusions).
 * :meth:`snapshot` -- an immutable :class:`~repro.trace.deposet.Deposet`
   view over the current prefix, sharing columns and a frozen index with
   the store (no copies of variable dicts, no clock rebuild).
@@ -47,7 +48,9 @@ the store is how one *grows*.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.causality.relations import Arrow, EventRef, StateRef
 from repro.errors import (
@@ -372,23 +375,46 @@ class TraceStore:
     def append_control(
         self, src: StateRef | Tuple[int, int], dst: StateRef | Tuple[int, int]
     ) -> ControlArrow:
-        """Insert a control arrow between existing states (deduped).
-
-        Raises :class:`~repro.causality.relations.CycleError` when the
-        arrow interferes with the recorded causality.  Bumps :attr:`epoch`
-        when the arrow is new.
-        """
+        """Insert one control arrow between existing states (deduped);
+        see :meth:`append_controls`."""
         arrow = (StateRef(*src), StateRef(*dst))
-        if arrow in self._control_set:
-            return arrow  # duplicated control arrows add no causality
+        self.append_controls([arrow])
+        return arrow
+
+    def append_controls(
+        self, arrows: Iterable[Tuple[StateRef | Tuple[int, int],
+                                     StateRef | Tuple[int, int]]]
+    ) -> List[ControlArrow]:
+        """Insert control arrows between existing states, as one batch.
+
+        Arrows already recorded as control (or repeated in the batch) are
+        skipped: a duplicate adds no causality.  The batch costs one
+        propagation over the union of the new arrows' downstream cones and
+        is all or nothing: a bad endpoint raises
+        :class:`~repro.errors.MalformedTraceError`, and arrows that
+        interfere with the recorded causality (or with each other) raise
+        :class:`~repro.causality.relations.CycleError`, both leaving the
+        store exactly as it was.  Bumps :attr:`epoch` once per new arrow
+        and returns the new arrows.
+        """
+        fresh: List[ControlArrow] = []
+        batch: set = set()
+        for a, b in arrows:
+            arrow = (StateRef(*a), StateRef(*b))
+            if arrow not in self._control_set and arrow not in batch:
+                batch.add(arrow)
+                fresh.append(arrow)
+        if not fresh:
+            return fresh
         # The index also dedupes against message arrows with the same
         # endpoints (the edge already exists; the *role* is still recorded).
-        self.index.insert_arrows([arrow])
-        self._add_control(arrow)
-        self.epoch += 1
-        _CONTROL.inc()
-        self._push_arrow(arrow)
-        return arrow
+        self.index.insert_arrows(fresh)
+        for arrow in fresh:
+            self._add_control(arrow)
+            self._push_arrow(arrow)
+        self.epoch += len(fresh)
+        _CONTROL.inc(len(fresh))
+        return fresh
 
     def _add_message(self, msg: MessageArrow) -> None:
         self._messages.append(msg)
@@ -439,8 +465,8 @@ class TraceStore:
         shared: :meth:`CausalIndex.append_event` writes the new state's
         clock row in place with no copy-on-write, so two appendable stores
         over one index would write into each other's rows.  Appends to the
-        fork never touch this store.  The SQLite engine commits pending
-        appends and adds one branch row instead.
+        fork never touch this store.  The SQLite engine forks the same way
+        after committing pending appends, and adds one branch row.
         """
         fork = copy.copy(self)
         fork._vars = [list(col) for col in self._vars]
@@ -597,8 +623,7 @@ class TraceStore:
                 store.append_state(
                     proc, vars=dep.state_vars((proc, entered)), time=time
                 )
-            for a, b in ctls:
-                store.append_control(a, b)
+            store.append_controls(ctls)
         return store
 
     def __repr__(self) -> str:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main, parse_predicate
 from repro.trace import dump_deposet, load_deposet
-from repro.workloads import mutex_trace
+from repro.workloads import mutex_trace, random_deposet
 from repro.workloads.servers import figure4_c1
 
 
@@ -109,6 +109,31 @@ def test_cli_control_and_recheck(trace_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "control relation" in out
     assert main(["detect", fixed, "--predicate", "at-least-one:avail"]) == 0
+
+
+@pytest.mark.parametrize("seed", [None, 0, 5])
+def test_cli_control_seed_defaults_to_the_deterministic_order(tmp_path,
+                                                             seed, capsys):
+    """Without ``--seed`` the CLI emits Figure 2's default choice order;
+    ``--seed N`` draws ``select`` at random, as the library does."""
+    from repro.core import control_disjunctive
+    from repro.workloads import availability_predicate
+
+    dep = random_deposet(n=3, events_per_proc=8, message_rate=0.3,
+                         flip_rate=0.3, seed=7)
+    path = tmp_path / "t.json"
+    dump_deposet(dep, path)
+    fixed = str(tmp_path / "fixed.json")
+    argv = ["control", str(path), "--predicate", "at-least-one:up",
+            "-o", fixed]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) == 0
+    pred = availability_predicate(3, "up")
+    expected = list(control_disjunctive(dep, pred, seed=seed).control)
+    assert list(load_deposet(fixed).control_arrows) == expected
+    if seed is None:  # the default order differs from seed 0's draw here
+        assert expected != list(control_disjunctive(dep, pred, seed=0).control)
 
 
 def test_cli_control_infeasible(tmp_path, capsys):
