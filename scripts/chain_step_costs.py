@@ -13,11 +13,14 @@ Runs the store steps of perfbench's ``debug-loop`` cycle on each trace of
 * ``branch`` -- one ``branch()`` of a reopened ``main`` (outside the
   byte count).
 
-It prints the mean milliseconds of each step and the bytes the process
-passed to ``write`` calls (``wchar`` of ``/proc/self/io``) from create
-to the last reopen, per stream record -- the measure behind perfbench's
-``bytes_written_per_record``.  The first pass over the corpus is a
-warm-up and is not counted.
+For each step it prints the mean milliseconds (``ms``), the mean bytes
+the process passed to ``write`` calls (``bytes``: ``wchar`` of
+``/proc/self/io``, the database and its rollback journal) and the mean
+number of SQLite write transactions (``transactions``: ``COMMIT``
+statements seen by a trace callback on every store connection).  It
+also prints the bytes written from create to the last reopen per stream
+record -- the measure behind perfbench's ``bytes_written_per_record``.
+The first pass over the corpus is a warm-up and is not counted.
 
 Usage, from the repository root (``PYTHONPATH`` picks the tree to
 measure; the corpus comes from this checkout's ``perfbench/``)::
@@ -42,6 +45,7 @@ from corpus import debug_corpus  # noqa: E402
 from repro.cli import parse_predicate  # noqa: E402
 from repro.core.offline import control_disjunctive  # noqa: E402
 from repro.errors import NoControllerExistsError  # noqa: E402
+import repro.storage.sqlite as sqlite_mod  # noqa: E402
 from repro.storage import record_control_branch  # noqa: E402
 from repro.store.trace_store import TraceStore  # noqa: E402
 from repro.trace import io as tio  # noqa: E402
@@ -58,10 +62,30 @@ def wchar() -> int:
     raise RuntimeError("no wchar in /proc/self/io")
 
 
-def timed(fn, *args, **kwargs):
+#: COMMIT statements run on any store connection so far
+TRANSACTIONS = [0]
+
+
+def counting_connect(connect):
+    def count(stmt):
+        if stmt.startswith("COMMIT"):
+            TRANSACTIONS[0] += 1
+
+    def wrapped(path):
+        conn = connect(path)
+        conn.set_trace_callback(count)
+        return conn
+    return wrapped
+
+
+def timed(costs, step, fn, *args, **kwargs):
+    """Run one step; record its seconds, bytes written and transactions."""
+    w0, x0 = wchar(), TRANSACTIONS[0]
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
+    costs[step] = (time.perf_counter() - t0, wchar() - w0,
+                   TRANSACTIONS[0] - x0)
+    return out
 
 
 def open_and_snapshot(target, branch):
@@ -73,15 +97,16 @@ def open_and_snapshot(target, branch):
 
 
 def cycle(stream, target):
-    """One trace's store steps: seconds per step and bytes written."""
+    """One trace's store steps: (seconds, bytes, transactions) per step,
+    and the bytes written from create to the last reopen."""
     out = {}
     w0 = wchar()
     header = json.loads(stream.lines[0])
-    store, out["create"] = timed(tio.stream_store_from_header, header,
-                                 "chain:1", target)
+    store = timed(out, "create", tio.stream_store_from_header, header,
+                  "chain:1", target)
     for lineno, line in enumerate(stream.lines[1:], start=2):
         tio.apply_stream_record(store, json.loads(line), f"chain:{lineno}")
-    _, out["commit"] = timed(store.commit, message="watched")
+    timed(out, "commit", store.commit, message="watched")
     dep = store.snapshot()
     store.close()
     branch = None
@@ -91,17 +116,16 @@ def cycle(stream, target):
     except NoControllerExistsError:
         control = None
     if control is not None:
-        (branch, _cid), out["record"] = timed(
-            record_control_branch, target, dep, control, kind="replay",
-            meta={"verdict": "replayed"})
-    _, out["reopen"] = timed(open_and_snapshot, target, "main")
+        branch, _cid = timed(
+            out, "record", record_control_branch, target, dep, control,
+            kind="replay", meta={"verdict": "replayed"})
+    timed(out, "reopen", open_and_snapshot, target, "main")
     if branch is not None:
-        _, out["reopen_branch"] = timed(open_and_snapshot, target, branch)
+        timed(out, "reopen_branch", open_and_snapshot, target, branch)
     written = wchar() - w0
     main = TraceStore.open(target, create=False)
     try:
-        fork, out["branch"] = timed(main.branch, "probe")
-        fork.close()
+        timed(out, "branch", main.branch, "probe").close()
     finally:
         main.close()
     return out, written
@@ -109,6 +133,7 @@ def cycle(stream, target):
 
 def main(argv) -> int:
     seed, count, passes = (int(a) for a in argv) if argv else (11, 84, 3)
+    sqlite_mod._connect = counting_connect(sqlite_mod._connect)
     corpus = debug_corpus(seed, count)
     samples = {step: [] for step in STEPS}
     written = records = 0
@@ -122,12 +147,16 @@ def main(argv) -> int:
                     os.unlink(db + suffix)
             if k < len(corpus):
                 continue  # warm-up pass
-            for step, seconds in steps.items():
-                samples[step].append(seconds)
+            for step, costs in steps.items():
+                samples[step].append(costs)
             written += nbytes
             records += stream.records
-    report = {step: round(1e3 * statistics.mean(v), 2)
-              for step, v in samples.items()}
+    report = {
+        unit: {step: round(scale * statistics.mean(c[k] for c in v), digits or None)
+               for step, v in samples.items()}
+        for k, (unit, scale, digits) in enumerate(
+            (("ms", 1e3, 2), ("bytes", 1, 0), ("transactions", 1, 2)))
+    }
     report["recorded"] = len(samples["record"])
     report["bytes_per_record"] = round(written / records, 1)
     print(json.dumps(report))

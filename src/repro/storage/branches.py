@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import StorageCorruptError, StorageError
-from repro.storage.sqlite import delete_branch, list_branches
 from repro.store.trace_store import TraceStore, parse_store_target
 
 __all__ = ["ensure_base_trace", "record_control_branch"]
@@ -71,22 +70,24 @@ def record_control_branch(
     id)``.  Branch names default to ``candidate-K``, first free ``K``.
 
     The chain is replayed at most once (to reopen ``main``); the fork
-    copies that store's memory.  Recording is all or nothing: when the
-    relation is rejected (a bad endpoint, or arrows that interfere with
-    the computation) or the commit fails, the forked branch is deleted
-    again, so no ``candidate-K`` is left at ``main``'s head without its
-    arrows.
+    copies that store's memory and shares its clocks.  On an existing
+    ``main`` the whole record is one SQLite transaction: the candidate
+    commit writes the branch row (``forked_from`` ``main``) with the
+    arrows and the verdict.  So recording is all or nothing: a rejected
+    relation (a bad endpoint, or arrows that interfere with the
+    computation) writes nothing, and a commit that fails or crashes
+    rolls back with its branch row.
     """
-    _scheme, path = parse_store_target(target)
     store = ensure_base_trace(target, dep)
     try:
         if name is None:
-            taken = {b["name"] for b in list_branches(path)}
+            taken = {row[0] for row in
+                     store._conn.execute("SELECT name FROM branches")}
             k = 1
             while f"candidate-{k}" in taken:
                 k += 1
             name = f"candidate-{k}"
-        fork = store.branch(name)
+        fork = store._fork(name)
     finally:
         store.close()
     try:
@@ -96,9 +97,6 @@ def record_control_branch(
         full_meta.update(meta or {})
         cid = fork.commit(kind=kind, message=f"candidate {name}",
                           meta=full_meta)
-    except BaseException:
-        delete_branch(path, name)
-        raise
     finally:
         fork.close()
     return name, cid

@@ -45,10 +45,12 @@ Every commit -- ops row, page rows, branch-head bump -- is one SQLite
 transaction.  Creating a store is one transaction too: the schema (its
 DDL skipped when the tables exist), the format and shape rows and the
 ``init`` commit land together, so a crash or error mid-create leaves an
-uninitialised store, never one with a shape but no chain.  A crash
-mid-commit rolls back to the previous commit on reopen; appends since
-the last commit are lost by design (the WAL layer of ``repro serve
---durable`` covers finer granularity).  CRC failures on reopen raise
+uninitialised store, never one with a shape but no chain.  A fork taken
+to record a candidate writes its branch row in its first commit, so a
+crash or error there leaves no branch.  A crash mid-commit rolls back to
+the previous commit on reopen; appends since the last commit are lost
+by design (the WAL layer of ``repro serve --durable`` covers finer
+granularity).  CRC failures on reopen raise
 :class:`~repro.errors.StorageCorruptError` naming the damaged
 commit/page instead of guessing, as do ops that replay to no valid
 computation.
@@ -57,8 +59,14 @@ Cost
 ----
 Each chain verb is one SQLite transaction and at most one index
 propagation: a reopen decodes the chain's ops and builds the causal
-index in one batch; :meth:`SqliteStore.branch` copies the open store's
-memory (no replay) and writes one branch row.
+index in one batch; a fork copies the open store's memory (no replay)
+and shares its clock rows copy-on-write (no propagation).
+:meth:`SqliteStore.branch` writes the fork's branch row at once;
+recording a candidate writes it inside the candidate commit, so the
+whole record is one transaction.  A transaction's rollback journal
+copies every database page it touches, so its bytes scale with the
+SQLite page size: stores are created with :data:`SQLITE_PAGE_BYTES`
+pages.
 """
 
 from __future__ import annotations
@@ -98,6 +106,12 @@ __all__ = [
 STORE_FORMAT = "repro-store-sqlite/1"
 DEFAULT_PAGE_SIZE = 256
 DEFAULT_CACHE_PAGES = 128
+#: SQLite's page size (bytes) for every store this module creates.  The
+#: rollback journal copies each page a transaction touches, so a commit's
+#: write volume scales with it; 1 KiB measured smallest per record
+#: without slowing ingest (docs/PERFORMANCE.md).  Not to be confused with
+#: ``DEFAULT_PAGE_SIZE``, which counts the states in one page of variables.
+SQLITE_PAGE_BYTES = 1024
 
 _COMMITS = METRICS.counter("store.sqlite.commits")
 _PAGES_WRITTEN = METRICS.counter("store.sqlite.pages_written")
@@ -191,10 +205,15 @@ def _tables(conn: sqlite3.Connection, path: str) -> set:
 def _init_schema(conn: sqlite3.Connection, tables: set) -> None:
     """Open a transaction holding the schema and the format row.
 
-    The DDL is skipped when every table already exists.  The explicit
-    ``BEGIN`` keeps the DDL in the transaction (``sqlite3`` would run it
-    in autocommit otherwise); the caller's ``with conn`` ends it.
+    The DDL is skipped when every table already exists.  A database with
+    no tables yet gets :data:`SQLITE_PAGE_BYTES` pages first (the pragma
+    only takes effect before the file's first write, so it precedes the
+    ``BEGIN``).  The explicit ``BEGIN`` keeps the DDL in the transaction
+    (``sqlite3`` would run it in autocommit otherwise); the caller's
+    ``with conn`` ends it.
     """
+    if not tables:
+        conn.execute(f"PRAGMA page_size = {SQLITE_PAGE_BYTES}")
     conn.execute("BEGIN")
     if not _TABLES <= tables:
         for ddl in _SCHEMA.split(";"):
@@ -317,6 +336,9 @@ class SqliteStore(TraceStore):
             OrderedDict()
         )
         self._recording = False
+        #: the branch a :meth:`_fork` came from while its own branch row
+        #: is unwritten (its first commit writes it); ``None`` otherwise
+        self._fork_of: Optional[str] = None
 
     # -- opening --------------------------------------------------------------
 
@@ -701,12 +723,19 @@ class SqliteStore(TraceStore):
                     )
                     written.append(((proc, pg), prow.lastrowid, entries))
                     _PAGES_WRITTEN.inc()
-            self._conn.execute(
-                "INSERT OR REPLACE INTO branches (name, head, forked_from) "
-                "VALUES (?, ?, COALESCE((SELECT forked_from FROM branches "
-                "WHERE name = ?), NULL))",
-                (self.branch_name, cid, self.branch_name),
-            )
+            if self._fork_of is None:
+                self._conn.execute(
+                    "INSERT OR REPLACE INTO branches (name, head, "
+                    "forked_from) VALUES (?, ?, COALESCE((SELECT forked_from "
+                    "FROM branches WHERE name = ?), NULL))",
+                    (self.branch_name, cid, self.branch_name),
+                )
+            else:  # a fork's first commit creates its branch row
+                self._conn.execute(
+                    "INSERT INTO branches (name, head, forked_from) "
+                    "VALUES (?, ?, ?)", (self.branch_name, cid, self._fork_of),
+                )
+        self._fork_of = None
         for key, rowid, entries in written:
             self._page_map[key] = (rowid, len(entries))
             self._cache_put(key, entries)
@@ -717,35 +746,50 @@ class SqliteStore(TraceStore):
         _COMMITS.inc()
         return cid
 
-    def branch(self, name: str) -> "SqliteStore":
-        """Fork the current state as branch ``name`` (one row, COW).
+    def _fork(self, name: str) -> "SqliteStore":
+        """Fork the current state as branch ``name``, writing no row.
 
         Pending appends are committed first so the fork point is a real
         commit.  The fork is :meth:`TraceStore.branch`'s copy of this
         store's memory (no replay of the chain) with its own connection
         and page map, sharing the decoded pages already cached; it never
-        touches the parent branch's rows again.
+        touches the parent branch's rows again.  Its first commit writes
+        its branch row in the same transaction, so a fork that never
+        commits leaves nothing in the database.
         """
-        head = self.commit(kind="append", message=f"auto-commit before "
-                                                  f"branch {name!r}")
-        existing = self._conn.execute(
-            "SELECT head FROM branches WHERE name = ?", (name,)
-        ).fetchone()
-        if existing is not None:
+        self.commit(kind="append", message=f"auto-commit before branch {name!r}")
+        if self._conn.execute(
+            "SELECT 1 FROM branches WHERE name = ?", (name,)
+        ).fetchone() is not None:
             raise StorageError(f"{self.path}: branch {name!r} already exists")
         fork = super().branch(name)
         fork.branch_name = name
+        fork._fork_of = self.branch_name
         fork._persisted = list(self._persisted)
         fork._pending = []
         fork._page_map = dict(self._page_map)
         fork._page_cache = OrderedDict(self._page_cache)
         fork._block_cache = OrderedDict(self._block_cache)
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO branches (name, head, forked_from) "
-                "VALUES (?, ?, ?)", (name, head, self.branch_name),
-            )
         fork._conn = _connect(self.path)
+        return fork
+
+    def branch(self, name: str) -> "SqliteStore":
+        """Fork the current state as branch ``name`` (one row, COW).
+
+        :meth:`_fork` plus the branch row, written at once in its own
+        transaction.
+        """
+        fork = self._fork(name)
+        try:
+            with self._conn:
+                self._conn.execute(
+                    "INSERT INTO branches (name, head, forked_from) "
+                    "VALUES (?, ?, ?)", (name, fork.head, self.branch_name),
+                )
+        except BaseException:
+            fork.close()
+            raise
+        fork._fork_of = None
         return fork
 
     def close(self) -> None:
@@ -866,7 +910,9 @@ def gc_store(path: str) -> Dict[str, int]:
     """Compaction: drop commits/pages unreachable from any branch head.
 
     Deleted branches leave their private commits dangling; this folds
-    them (and their pages) away and VACUUMs the file.  Returns counts of
+    them (and their pages) away and VACUUMs the file.  The VACUUM
+    rewrites every page, so it also converts a store created with
+    another page size to :data:`SQLITE_PAGE_BYTES`.  Returns counts of
     what was removed.
     """
     conn = _connect(path)
@@ -896,6 +942,7 @@ def gc_store(path: str) -> Dict[str, int]:
                 )
                 pages_dead += cur.rowcount
                 conn.execute("DELETE FROM commits WHERE id = ?", (cid,))
+        conn.execute(f"PRAGMA page_size = {SQLITE_PAGE_BYTES}")
         conn.execute("VACUUM")
         return {"commits_removed": len(dead), "pages_removed": pages_dead,
                 "commits_kept": len(keep)}

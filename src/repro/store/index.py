@@ -22,12 +22,15 @@ streaming trace store needs:
 Sharing discipline
 ------------------
 Clock matrices are shared between an index, its :meth:`freeze` snapshots,
-and its :meth:`extended` children; rows are copied only when a cone update
-would touch a row a snapshot can see (copy-on-write, tracked per process
-via ``_owned`` / ``_watermark``).  Appends never conflict with snapshots:
-they only write rows beyond every snapshot's state counts.  Only one index
-in a sharing family may be *appendable* (the live store's), which is what
-makes the append fast path safe without locks or copies.
+its :meth:`extended` children and the indexes of store forks; rows are
+copied only when a write would touch a row another index can see
+(copy-on-write, tracked per process via ``_owned`` / ``_watermark``).  A
+twin owns no rows: its first append or cone update on a process copies
+that process's block.  The index it was taken from keeps the rows beyond
+its current counts, which no twin sees, and appends there in place; it
+copies before a cone update writes below them.  So a store fork's index
+(an appendable twin) shares every clock row with its parent until one
+side writes.
 
 Equality with the batch order -- clocks, happened-before / concurrency /
 consistency answers, and ``CycleError`` payloads -- is pinned by the
@@ -83,9 +86,10 @@ class CausalIndex(CausalOrder):
     # -- sharing / derivation ----------------------------------------------
 
     def _clone_shared(self, appendable: bool) -> "CausalIndex":
-        """A twin sharing clock matrices; both sides lose row ownership so
-        any subsequent in-place cone update copies before writing.  Either
-        side may add edges, so each gets its own adjacency dicts."""
+        """A twin sharing clock matrices and owning none of their rows;
+        ``self`` keeps only the rows beyond the current counts (see the
+        module's sharing discipline).  Either side may add edges, so each
+        gets its own adjacency dicts."""
         twin = CausalIndex.__new__(CausalIndex)
         twin.n = self.n
         twin.state_counts = self.state_counts
@@ -96,7 +100,7 @@ class CausalIndex(CausalOrder):
         twin._appendable = appendable
         twin._owned = [False] * self.n
         twin._watermark = [0] * self.n
-        self._owned = [False] * self.n
+        self._watermark = list(self.state_counts)
         return twin
 
     def freeze(self) -> "CausalIndex":
@@ -106,11 +110,7 @@ class CausalIndex(CausalOrder):
         rows the snapshot can see (everything below the current counts) by
         copy-on-write before any later in-place arrow insert touches them.
         """
-        snap = self._clone_shared(appendable=False)
-        # The live side keeps ownership of rows *beyond* the snapshot.
-        self._owned = [True] * self.n
-        self._watermark = list(self.state_counts)
-        return snap
+        return self._clone_shared(appendable=False)
 
     def extended(self, extra_arrows: Iterable[Arrow]) -> "CausalIndex":
         """A new order with additional arrows, without a full rebuild.
@@ -188,13 +188,15 @@ class CausalIndex(CausalOrder):
                 self._link(src, dst)
             incoming = self._in.get((proc, m - 1), ())
         arr = self._clocks[proc]
-        if m >= arr.shape[0]:  # grow capacity (amortised O(1) appends)
-            grown = np.full((max(8, 2 * arr.shape[0]), n), -1, dtype=np.int32)
+        if m >= arr.shape[0] or not self._owned[proc]:
+            # Grow capacity (amortised O(1) appends), or copy a block
+            # another index shares: it may append its own row m.
+            grown = np.full((max(8, 2 * m), n), -1, dtype=np.int32)
             grown[:m] = arr[:m]
             self._clocks[proc] = arr = grown
             self._owned[proc] = True
             self._watermark[proc] = 0
-        # Row m lies beyond every snapshot's counts: no copy-on-write.
+        # Row m lies beyond every twin's counts: no copy-on-write.
         self._enter(proc, m - 1, incoming, arr[m])
         self.state_counts = after
         _APPENDS.inc()

@@ -460,13 +460,12 @@ class TraceStore:
         """A copy-on-write fork of the current state under ``name``.
 
         In memory the fork gets its own column and arrow lists (O(states)
-        pointer copies) and shares every variable dict and arrow.  Its
-        causal index is rebuilt from the counts and arrows rather than
-        shared: :meth:`CausalIndex.append_event` writes the new state's
-        clock row in place with no copy-on-write, so two appendable stores
-        over one index would write into each other's rows.  Appends to the
-        fork never touch this store.  The SQLite engine forks the same way
-        after committing pending appends, and adds one branch row.
+        pointer copies) and shares every variable dict and arrow.  The
+        two causal indexes share their clock rows copy-on-write: each side
+        copies a process's rows the first time it appends to or rewrites
+        them, so appends to the fork never touch this store and the fork
+        costs no propagation.  The SQLite engine forks the same way after
+        committing pending appends.
         """
         fork = copy.copy(self)
         fork._vars = [list(col) for col in self._vars]
@@ -477,7 +476,7 @@ class TraceStore:
         fork._control = list(self._control)
         fork._control_set = set(self._control_set)
         fork._used_events = dict(self._used_events)
-        fork.index = CausalIndex(self.state_counts, self.index.arrows)
+        fork.index = self.index._clone_shared(appendable=True)
         return fork
 
     def close(self) -> None:

@@ -5,22 +5,29 @@
   store, never a half-created one.
 * A fork copies the open store's memory: the live fork, a cold reopen
   of its branch and an in-memory fork agree state for state and clock
-  for clock, and the parent never sees the fork's appends.
+  for clock, and the parent never sees the fork's appends.  A fork
+  shares its parent's clock rows: appends and arrow inserts on either
+  side, interleaved, leave both sides (and their snapshots) with the
+  clocks reachability gives.
 * A reopen builds the causal index with one batch propagation; its
   clocks equal a batch :class:`CausalOrder` over the recorded arrows.
 * Recording a candidate relation replays the chain at most once,
-  inserts the arrows as one batch, and leaves no branch behind when the
-  relation is rejected.
+  inserts the arrows as one batch, and is one write transaction that
+  also writes the branch row: it leaves no branch behind when the
+  relation is rejected or the commit fails, even by a crash.
 """
 
+import os
 import sqlite3
+import subprocess
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.storage.sqlite as sqlite_mod
@@ -36,6 +43,7 @@ from repro.storage.sqlite import SqliteStore
 from repro.store import CausalIndex, TraceStore
 from repro.workloads import random_deposet
 
+from ..oracles import reachability_clocks
 from .test_backend_equivalence import (
     feed_both,
     first_valid_control_arrow,
@@ -304,6 +312,88 @@ def test_branch_does_not_replay_the_chain(tmp_path, monkeypatch):
         store.close()
 
 
+def assert_reachability_clocks(view, order):
+    """``order`` (a store's index or a snapshot's order) has the clocks
+    reachability gives over ``view``'s messages and control arrows."""
+    arrows = [(m.src, m.dst) for m in view.messages]
+    arrows += list(view.control_arrows)
+    expected = reachability_clocks(view.state_counts, arrows)
+    for p, rows in enumerate(expected):
+        assert order.clock_matrix(p).tolist() == rows, p
+
+
+def apply_step(store, op, p, q, f, g, k):
+    """One append, arrow insert or snapshot on ``store``; an input the
+    model rejects must leave the store as it was (checked by the clocks
+    after the step).  Returns a snapshot for ``"snap"``."""
+    counts = store.state_counts
+    if op == "snap":
+        return store.snapshot()
+    try:
+        if op == "ev":
+            store.append_state(p, {"k": k})
+        elif op == "recv" and q != p and counts[q] > 1:
+            # f = 0: q's latest event, free for a message after an "ev"
+            src = (q, counts[q] - 2 - f % (counts[q] - 1))
+            store.append_state(p, {"k": k}, received_from=src)
+        elif op == "ctl" and q != p:
+            store.append_controls(
+                [((q, f % counts[q]), (p, g % counts[p]))])
+    except MalformedTraceError:  # includes CycleError
+        pass
+    return None
+
+
+STEPS = st.lists(
+    st.tuples(st.sampled_from(["parent", "fork"]),
+              st.sampled_from(["ev", "ev", "recv", "ctl", "snap"]),
+              st.integers(0, 2), st.integers(0, 2),
+              st.integers(0, 9), st.integers(0, 9)),
+    min_size=1, max_size=14,
+)
+
+
+# One side receives on process 0 while the other enters the same state
+# index plainly: an append into a shared block overwrites the other
+# side's row -- after a fresh fork, or after the fork took a snapshot.
+RECV_THEN_PLAIN = [("parent", "ev", 1, 0, 0, 0),
+                   ("parent", "recv", 0, 1, 0, 0),
+                   ("fork", "ev", 0, 0, 0, 0)]
+SWAPPED = {"parent": "fork", "fork": "parent"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=50_000), steps=STEPS)
+@example(seed=1, steps=RECV_THEN_PLAIN)
+@example(seed=1, steps=[(SWAPPED[side], *rest)
+                        for side, *rest in RECV_THEN_PLAIN])
+@example(seed=1, steps=[("fork", "snap", 0, 0, 0, 0)] + RECV_THEN_PLAIN)
+def test_parent_and_fork_share_clocks_without_writing_each_others(seed,
+                                                                  steps):
+    """Both sides stay appendable and share their clock rows until one
+    writes; a write into a row the other side (or a snapshot) can see
+    shows up as a clock that reachability does not give."""
+    base = random_deposet(seed=seed, n=3, events_per_proc=3,
+                          message_rate=0.3, flip_rate=0.3)
+    with fresh_dir() as tmp_path:
+        for target in ("memory", f"sqlite:{tmp_path / 't.db'}"):
+            parent = TraceStore.from_deposet(base, target)
+            sides = {"parent": parent, "fork": parent.branch("fork")}
+            snaps = []
+            try:
+                for k, (side, op, p, q, f, g) in enumerate(steps):
+                    snap = apply_step(sides[side], op, p, q, f, g, k)
+                    if snap is not None:
+                        snaps.append(snap)
+                    for store in sides.values():
+                        assert_reachability_clocks(store, store.index)
+                for snap in snaps:
+                    assert_reachability_clocks(snap, snap.order)
+            finally:
+                for store in sides.values():
+                    store.close()
+
+
 # -- recording a candidate -------------------------------------------------------
 
 
@@ -383,3 +473,108 @@ def test_page_with_an_unencodable_value_keeps_the_per_value_form(tmp_path):
         assert reopened.state_vars((0, 1)) == expected[1]
     finally:
         reopened.close()
+
+
+def recorded_main(tmp_path):
+    """A store whose ``main`` holds ``small_trace()``, and a relation."""
+    dep = small_trace()
+    target = f"sqlite:{tmp_path / 't.db'}"
+    store = TraceStore.from_deposet(dep, target)
+    store.commit(message="base")
+    store.close()
+    return dep, target, valid_relation(dep, 2)
+
+
+def db_rows(db, sql):
+    conn = sqlite3.connect(db)
+    try:
+        return conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+
+
+def test_record_is_one_write_transaction(tmp_path, monkeypatch):
+    dep, target, relation = recorded_main(tmp_path)
+    log = []
+    traced_connect(monkeypatch, log)
+    name, cid = record_control_branch(target, dep, relation)
+    words = [stmt.split()[0] for stmt in log]
+    assert words.count("COMMIT") == 1
+    begin, commit = words.index("BEGIN"), words.index("COMMIT")
+    writes = [i for i, w in enumerate(words)
+              if w in ("CREATE", "INSERT", "UPDATE", "DELETE")]
+    assert writes and begin < min(writes) and max(writes) < commit
+    # the one transaction holds the verdict commit and the branch row
+    assert any(s.startswith("INSERT INTO commits") for s in log)
+    assert any("INTO branches" in s for s in log)
+    db = target[len("sqlite:"):]
+    assert chain_log(db, name)[-1]["id"] == cid
+    row = {b["name"]: b for b in list_branches(db)}[name]
+    assert row == {"name": name, "head": cid, "forked_from": "main"}
+
+
+class FailingCandidateCommit(sqlite3.Connection):
+    """Fails the candidate commit's row insert, inside its transaction."""
+
+    def execute(self, sql, *args):
+        if sql.startswith("INSERT INTO commits") and args[0][1] == "replay":
+            raise sqlite3.OperationalError("injected failure")
+        return super().execute(sql, *args)
+
+
+CRASH_IN_CANDIDATE_COMMIT = """
+import os, sqlite3, sys
+import repro.storage.sqlite as sqlite_mod
+from repro.storage import record_control_branch
+from repro.workloads import random_deposet
+
+class Crash(sqlite3.Connection):
+    def execute(self, sql, *args):
+        cur = super().execute(sql, *args)
+        if sql.startswith("INSERT INTO commits") and args[0][1] == "replay":
+            os._exit(17)  # the commit row is written, not committed
+        return cur
+
+def connect(path):
+    conn = sqlite3.connect(path, timeout=30.0, check_same_thread=False,
+                           factory=Crash)
+    conn.row_factory = sqlite3.Row
+    return conn
+
+sqlite_mod._connect = connect
+dep = random_deposet(n=3, events_per_proc=6, message_rate=0.3,
+                     flip_rate=0.3, seed=1)
+record_control_branch(sys.argv[1], dep, [((0, 0), (1, 1))])
+"""
+
+
+@pytest.mark.parametrize("failure", ["raise", "crash"])
+def test_failed_candidate_commit_leaves_no_branch_and_no_commit(
+        tmp_path, monkeypatch, failure):
+    dep, target, relation = recorded_main(tmp_path)
+    db = target[len("sqlite:"):]
+    commits = db_rows(db, "SELECT id FROM commits")
+    if failure == "raise":
+        def failing(p):
+            conn = sqlite3.connect(p, timeout=30.0, check_same_thread=False,
+                                   factory=FailingCandidateCommit)
+            conn.row_factory = sqlite3.Row
+            return conn
+
+        monkeypatch.setattr(sqlite_mod, "_connect", failing)
+        with pytest.raises(sqlite3.OperationalError, match="injected"):
+            record_control_branch(target, dep, relation, kind="replay")
+        monkeypatch.undo()
+    else:
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", CRASH_IN_CANDIDATE_COMMIT, target],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 17, proc.stderr
+    # the reopen rolls an interrupted transaction back: nothing was left
+    assert [b["name"] for b in list_branches(db)] == ["main"]
+    assert db_rows(db, "SELECT id FROM commits") == commits
+    name, _cid = record_control_branch(target, dep, relation)
+    assert name == "candidate-1"
