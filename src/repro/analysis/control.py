@@ -28,7 +28,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.raw import RawTrace
-from repro.analysis.sanitizer import find_event_cycle, valid_arrows
+from repro.analysis.sanitizer import (
+    axiom_finding, find_event_cycle, valid_arrows,
+)
+from repro.causality.axioms import CONTROL, arrow_problems
 from repro.causality.relations import CausalOrder, CycleError
 from repro.errors import NoControllerExistsError, NotDisjunctiveError
 from repro.predicates.base import Predicate
@@ -55,46 +58,17 @@ def analyze_control(
     findings: List[Finding] = []
     counts = raw.state_counts
     msgs = [raw.messages[k].pair for k in valid_arrows(raw, raw.messages)]
-    ctl_idx = [
-        k
-        for k, c in enumerate(raw.control)
-        if raw.has_state(c.src) and raw.has_state(c.dst)
-    ]
 
     # C103: unenforceable endpoints.  Judged first; such arrows cannot
-    # participate in the event graph (their events do not exist).
+    # participate in the event graph (their events do not exist).  An
+    # arrow with a missing endpoint is the sanitizer's T005.
     enforceable: List[int] = []
-    for k in ctl_idx:
-        c = raw.control[k]
-        (sp, si), (dp, di) = c.src, c.dst
-        problems = []
-        if si > counts[sp] - 2:
-            problems.append(
-                f"source ({sp},{si}) is the final state of process {sp} "
-                f"and never completes"
-            )
-        if di < 1:
-            problems.append(
-                f"target ({dp},{di}) is the initial state of process {dp} "
-                f"and is entered unconditionally"
-            )
-        if sp == dp and si >= di >= 1 and not problems:
-            problems.append(
-                f"same-process arrow ({sp},{si}) -> ({dp},{di}) points "
-                f"backwards and can never be satisfied"
-            )
-        if problems:
-            findings.append(
-                Finding(
-                    "C103",
-                    "control arrow is unenforceable: " + "; ".join(problems),
-                    location=c.location,
-                    states=(c.src, c.dst),
-                    arrows=(c.pair,),
-                )
-            )
-        else:
+    for k, c in enumerate(raw.control):
+        problems = arrow_problems(CONTROL, c.src, c.dst, counts)
+        if not problems:
             enforceable.append(k)
+        elif problems[0][0] == "C103":
+            findings.append(axiom_finding(problems[0], c))
 
     # C105: duplicate arrows.  The first occurrence is canonical.
     seen: Dict[Tuple[Ref, Ref], int] = {}

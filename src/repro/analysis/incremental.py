@@ -58,12 +58,9 @@ from typing import Any, Dict, List, Optional, Protocol, Tuple
 from repro.analysis.findings import Finding, Report
 from repro.analysis.raw import RawArrow, RawTrace, StreamParser, Ref
 from repro.analysis.runner import DEEP_PASSES, run_deep_passes
-from repro.analysis.sanitizer import (
-    sanitize,
-    t002_finding,
-    t004_finding,
-    t006_finding,
-    t007_finding,
+from repro.analysis.sanitizer import axiom_finding, sanitize, t007_finding
+from repro.causality.axioms import (
+    MESSAGE, arrow_problems, claim_events, d3_problems,
 )
 from repro.obs.metrics import METRICS
 from repro.predicates.base import Predicate
@@ -233,8 +230,8 @@ class _SanitizerEngine:
         self._account = account
         self._counts: List[int] = []
         self._seq = 0
-        #: event -> (role, claiming arrow), in activation order
-        self._roles: Dict[EventRef, Tuple[str, RawArrow]] = {}
+        #: event -> the arrow that claimed it first, in activation order
+        self._roles: Dict[EventRef, RawArrow] = {}
         #: channel -> activated arrows sorted by source state index
         self._channels: Dict[Tuple[int, int], List[RawArrow]] = {}
         self._channel_keys: Dict[Tuple[int, int], List[int]] = {}
@@ -344,25 +341,19 @@ class _SanitizerEngine:
     def _endpoint_activate(
         self, arrow: RawArrow, out: List[Finding], emit: bool
     ) -> None:
-        (sp, si), (dp, di) = arrow.src, arrow.dst
-        if di >= self._counts[dp]:
+        if arrow.dst[1] >= self._counts[arrow.dst[0]]:
             return  # dst missing: cannot happen for streamed recvs
-        if sp == dp:
-            if emit:
-                out.append(t006_finding(arrow))
-            return  # same-process arrows never join the T002/T004 pools
-        if di < 1 and emit:
-            out.append(t002_finding("message", arrow))
-        for ev, role in (
-            ((sp, si), "send"),
-            ((dp, di - 1), "receive"),
-        ):
-            if ev in self._roles:
-                prev_role, prev = self._roles[ev]
-                if emit:
-                    out.append(t004_finding(ev, prev_role, prev, role, arrow))
-            else:
-                self._roles[ev] = (role, arrow)
+        if emit:
+            # T003 is finalize-mode: the source may still complete.
+            out.extend(
+                axiom_finding(p, arrow)
+                for p in arrow_problems(MESSAGE, arrow.src, arrow.dst,
+                                        self._counts)
+                if p[0] != "T003"
+            )
+            out.extend(axiom_finding(p, arrow, prev)
+                       for p, prev in d3_problems(self._roles, arrow))
+        claim_events(self._roles, arrow)
 
     def _order_activate(
         self, arrow: RawArrow, out: List[Finding], emit: bool

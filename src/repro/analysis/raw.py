@@ -13,14 +13,16 @@ Structure is checked by the same decoders the strict loaders use
 (:mod:`repro.trace.decode`): every problem they report becomes a T001
 at its location, with the text a strict load raises, and the decoded
 parts are kept with their repairs (a broken arrow is skipped, a broken
-variable map becomes ``{}``).  On top of that this module owns only
-what the strict loaders do not check themselves: the recorded
-``clocks`` block of a document, and the stream's causal delivery order
-(T009, reported where the strict store raises).
+variable map becomes ``{}``).  The stream's causal delivery order is a
+T009 from the axiom judge the strict store raises
+(:mod:`repro.causality.axioms`), at the record that breaks it.  This
+module owns only what the strict loaders do not check at all: the
+recorded ``clocks`` block of a document.
 
-The analysis passes then check the deposet axioms over the raw trace; a
-real (validated) :class:`~repro.trace.deposet.Deposet` is constructed only
-once the sanitizer reports no errors, gating the deep passes.
+The analysis passes then check the deposet axioms over the raw trace,
+with the judge the deposet constructor uses; a real (validated)
+:class:`~repro.trace.deposet.Deposet` is constructed only once the
+sanitizer reports no errors, gating the deep passes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import Finding
-from repro.causality.relations import StateRef
+from repro.causality.axioms import CONTROL, MESSAGE, arrow_problems
 from repro.errors import UnknownTraceFormatError
 from repro.trace.decode import (
     FORMAT,
@@ -41,8 +43,6 @@ from repro.trace.decode import (
     decode_stream_header,
     decode_stream_record,
 )
-from repro.trace.deposet import Deposet
-from repro.trace.states import MessageArrow
 
 __all__ = [
     "RawArrow",
@@ -100,23 +100,6 @@ class RawTrace:
     def has_state(self, ref: Ref) -> bool:
         proc, index = ref
         return 0 <= proc < self.n and 0 <= index < len(self.states[proc])
-
-    def to_deposet(self) -> Deposet:
-        """A validated deposet (raises on axiom violations -- call only
-        after the sanitizer reported no errors)."""
-        return Deposet(
-            self.states,
-            [
-                MessageArrow(
-                    StateRef(*m.src), StateRef(*m.dst),
-                    payload=m.payload, tag=m.tag,
-                )
-                for m in self.messages
-            ],
-            [(StateRef(*c.src), StateRef(*c.dst)) for c in self.control],
-            proc_names=self.proc_names or None,
-            timestamps=self.timestamps,
-        )
 
 
 def _t001(location: Optional[str], message: str) -> Finding:
@@ -285,12 +268,12 @@ class StreamParser:
                 )
                 raw.messages.append(arrow)
                 self.delta_messages.append(arrow)
-                _check_delivery_order(raw, arrow, "message", where, out)
+                _check_delivery_order(raw, arrow, MESSAGE, where, out)
         elif kind == "ctl":
             arrow = RawArrow(fields["src"], fields["dst"], location=where)
             raw.control.append(arrow)
             self.delta_control.append(arrow)
-            _check_delivery_order(raw, arrow, "control arrow", where, out)
+            _check_delivery_order(raw, arrow, CONTROL, where, out)
         elif kind == "obs":
             raw.obs = fields["obs"]
         return self._emit(*out)
@@ -420,38 +403,15 @@ def _check_delivery_order(
     where: str,
     findings: List[Finding],
 ) -> None:
-    """T009 when ``arrow`` references a state that has not been streamed
-    yet at this point (the :meth:`CausalIndex.append_event` contract: a
-    cross-process arrow source must have *completed* -- index at most
-    ``counts[src.proc] - 2`` -- before its target record arrives).
-
-    Out-of-range process indices and same-process arrows are left to the
-    sanitizer (T005/T006); negative indices can never become valid and are
-    likewise T005 territory.
-    """
-    (sp, si), (dp, di) = arrow.src, arrow.dst
-    if sp == dp or not (0 <= sp < raw.n) or not (0 <= dp < raw.n):
-        return
-    if si < 0 or di < 0:
-        return
-    counts = raw.state_counts
-    problems = []
-    if si > counts[sp] - 2:
-        problems.append(f"source event at ({sp},{si}) has not completed")
-    if di > counts[dp] - 1:
-        problems.append(f"target state ({dp},{di}) has not been streamed")
-    if problems:
-        findings.append(
-            Finding(
-                "T009",
-                f"{what} ({sp},{si}) -> ({dp},{di}): "
-                + "; ".join(problems)
-                + " (causal delivery order)",
-                location=where,
-                states=((sp, si), (dp, di)),
-                arrows=(((sp, si), (dp, di)),),
-            )
-        )
+    """T009 when ``arrow`` breaks causal delivery order as it arrives at
+    ``where`` (the streamed judgement the strict store raises); its other
+    problems are the sanitizer's, since its endpoints may still appear."""
+    problems = arrow_problems(what, arrow.src, arrow.dst, raw.state_counts,
+                              streamed=True)
+    if problems and problems[0][0] == "T009":
+        rule_id, message, states = problems[0]
+        findings.append(Finding(rule_id, message, location=where,
+                                states=states, arrows=(arrow.pair,)))
 
 
 # -- entry point -------------------------------------------------------------

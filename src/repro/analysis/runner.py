@@ -116,31 +116,25 @@ def _underlying_deposet(raw: RawTrace, report: Report) -> Optional[Deposet]:
     judging them is the control pass's job, and an interfering relation
     must produce a C101 finding, not a constructor crash).
 
-    ``None`` when construction fails; a failure the sanitizer did not
-    already explain is reported as T001 (it means a check here and a
-    check there disagree -- still a finding, never a crash).
+    ``None`` when construction fails.  The constructor and the
+    sanitizer share one judge of the axioms (:mod:`repro.causality.axioms`),
+    so a failure comes with a sanitizer error; one that did not would be
+    reported as T001 -- still a finding, never a crash.
     """
-    from repro.causality.relations import StateRef
     from repro.trace.states import MessageArrow
 
     try:
         return Deposet(
             raw.states,
             [
-                MessageArrow(
-                    StateRef(*m.src), StateRef(*m.dst),
-                    payload=m.payload, tag=m.tag,
-                )
+                MessageArrow(m.src, m.dst, payload=m.payload, tag=m.tag)
                 for m in raw.messages
             ],
             (),
             proc_names=raw.proc_names or None,
             timestamps=raw.timestamps,
         )
-    except (ReproError, ValueError) as exc:
-        # ValueError covers constructor-level guards that predate the
-        # typed hierarchy (e.g. MessageArrow refusing same-process
-        # arrows) -- the sanitizer already reported those as T006.
+    except ReproError as exc:
         if not any(f.severity.name == "ERROR" for f in report.findings):
             report.add(
                 Finding(

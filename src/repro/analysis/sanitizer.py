@@ -1,9 +1,11 @@
 """Pass 1: the trace sanitizer (rules T002--T011).
 
 Statically re-checks everything the strict loaders enforce dynamically --
-the deposet axioms D1--D3, channel integrity, acyclicity of the message
-causality -- plus properties no loader checks at all: FIFO inversions,
-recorded-vs-recomputed vector clocks, and timestamp regressions.  Works
+the deposet axioms D1--D3 (T002--T006, judged by
+:mod:`repro.causality.axioms`, which the loaders raise from), channel
+integrity, acyclicity of the message causality -- plus properties no
+loader checks at all: FIFO inversions, recorded-vs-recomputed vector
+clocks, and timestamp regressions.  Works
 over a :class:`~repro.analysis.raw.RawTrace`, so a single run reports
 *every* violation, each with a concrete witness (states, arrows, and the
 input location remembered by the lenient parser).
@@ -21,16 +23,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.raw import RawArrow, RawTrace
+from repro.causality.axioms import (
+    CONTROL, Problem, arrow_problems, arrow_str, trace_problems,
+)
 
 __all__ = [
     "sanitize",
     "find_event_cycle",
     "valid_arrows",
-    "t002_finding",
-    "t003_finding",
-    "t004_finding",
-    "t005_findings",
-    "t006_finding",
+    "axiom_finding",
     "t007_finding",
 ]
 
@@ -148,20 +149,14 @@ def find_event_cycle(
 
 def valid_arrows(raw: RawTrace, arrows: Sequence[RawArrow]) -> List[int]:
     """Indices of arrows satisfying the structural preconditions of
-    :class:`CausalOrder` (endpoints exist, D1/D2 hold, not a backwards or
-    degenerate same-process arrow) -- the subset deeper passes may use."""
+    :class:`CausalOrder` -- those of a well-formed control arrow (endpoints
+    exist, D1/D2 hold, not backwards along one process) -- the subset
+    deeper passes may use."""
     counts = raw.state_counts
-    out = []
-    for k, a in enumerate(arrows):
-        (sp, si), (dp, di) = a.src, a.dst
-        if not (raw.has_state(a.src) and raw.has_state(a.dst)):
-            continue
-        if di < 1 or si > counts[sp] - 2:
-            continue
-        if sp == dp and si >= di:
-            continue
-        out.append(k)
-    return out
+    return [
+        k for k, a in enumerate(arrows)
+        if not arrow_problems(CONTROL, a.src, a.dst, counts)
+    ]
 
 
 # -- shared finding constructors ---------------------------------------------
@@ -171,93 +166,19 @@ def valid_arrows(raw: RawTrace, arrows: Sequence[RawArrow]) -> List[int]:
 # so streaming/batch identity holds by construction for the shared rules.
 
 
-def t005_findings(
-    what: str, a: RawArrow, counts: Sequence[int], n: int
-) -> List[Finding]:
-    """T005 findings for ``a``'s out-of-range endpoints (possibly none)."""
-    out: List[Finding] = []
-    for ref, role in ((a.src, "src"), (a.dst, "dst")):
-        p, x = ref
-        if not (0 <= p < n):
-            out.append(
-                Finding(
-                    "T005",
-                    f"{what} {role} ({p},{x}): no process {p} "
-                    f"(trace has {n})",
-                    location=a.location,
-                    arrows=(a.pair,),
-                )
-            )
-        elif not (0 <= x < counts[p]):
-            out.append(
-                Finding(
-                    "T005",
-                    f"{what} {role} ({p},{x}): process {p} has no "
-                    f"state {x} (it has {counts[p]})",
-                    location=a.location,
-                    states=((p, min(max(x, 0), counts[p] - 1)),),
-                    arrows=(a.pair,),
-                )
-            )
-    return out
-
-
-def t006_finding(a: RawArrow) -> Finding:
-    (sp, si), (dp, di) = a.src, a.dst
-    direction = "points backwards on" if si >= di else "stays on"
-    return Finding(
-        "T006",
-        f"message ({sp},{si}) -> ({dp},{di}) {direction} process {sp}",
-        location=a.location,
-        states=(a.src, a.dst),
-        arrows=(a.pair,),
-    )
-
-
-def t002_finding(what: str, a: RawArrow) -> Finding:
-    (sp, si), (dp, di) = a.src, a.dst
-    return Finding(
-        "T002",
-        f"{what} ({sp},{si}) -> ({dp},{di}): target is the "
-        f"initial state of process {dp}, which is entered "
-        f"before any receive can happen (D1)",
-        location=a.location,
-        states=(a.dst,),
-        arrows=(a.pair,),
-    )
-
-
-def t003_finding(what: str, a: RawArrow) -> Finding:
-    (sp, si), (dp, di) = a.src, a.dst
-    return Finding(
-        "T003",
-        f"{what} ({sp},{si}) -> ({dp},{di}): source is the "
-        f"final state of process {sp}, which never completes "
-        f"(D2)",
-        location=a.location,
-        states=(a.src,),
-        arrows=(a.pair,),
-    )
-
-
-def t004_finding(
-    ev: EventRef, prev_role: str, prev: RawArrow, role: str, a: RawArrow
+def axiom_finding(
+    problem: Problem, a: RawArrow, prev: Optional[RawArrow] = None
 ) -> Finding:
-    dup = (
-        "duplicate delivery"
-        if role == "receive" and prev_role == "receive"
-        else "event carries two messages"
-    )
-    return Finding(
-        "T004",
-        f"event ({ev[0]},{ev[1]}) is the {prev_role} of "
-        f"{_arrow_str(prev)} and the {role} of "
-        f"{_arrow_str(a)} ({dup}; D3)",
-        location=a.location,
-        states=((ev[0], ev[1]),),
-        arrows=(prev.pair, a.pair),
-        data={"other_location": prev.location},
-    )
+    """The finding of an axiom ``problem`` of arrow ``a`` (T002--T006,
+    T009, C103), located where the input declared ``a``; a T004 also
+    names ``prev``, the message that claimed the event first."""
+    rule_id, message, states = problem
+    if prev is None:
+        return Finding(rule_id, message, location=a.location, states=states,
+                       arrows=(a.pair,))
+    return Finding(rule_id, message, location=a.location, states=states,
+                   arrows=(prev.pair, a.pair),
+                   data={"other_location": prev.location})
 
 
 def t007_finding(
@@ -266,8 +187,8 @@ def t007_finding(
     return Finding(
         "T007",
         f"channel {sp} -> {dp} is not FIFO: "
-        f"{_arrow_str(first)} was sent before "
-        f"{_arrow_str(second)} but delivered after it",
+        f"{arrow_str(first)} was sent before "
+        f"{arrow_str(second)} but delivered after it",
         location=second.location,
         states=(first.dst, second.dst),
         arrows=(first.pair, second.pair),
@@ -282,47 +203,15 @@ def sanitize(raw: RawTrace) -> List[Finding]:
     """Run every trace-sanitizer rule over ``raw``."""
     findings: List[Finding] = []
     counts = raw.state_counts
-    n = raw.n
 
-    # T005 / T006 / T002 / T003: per-arrow structural axioms.
-    for what, arrows in (("message", raw.messages), ("control arrow", raw.control)):
-        for a in arrows:
-            (sp, si), (dp, di) = a.src, a.dst
-            bad = t005_findings(what, a, counts, n)
-            if bad:
-                findings.extend(bad)
-                continue
-            if what != "message":
-                # Control-arrow semantics (D1/D2 generalised, direction,
-                # enforceability) belong to the control pass's C103.
-                continue
-            if sp == dp:
-                findings.append(t006_finding(a))
-                continue
-            if di < 1:
-                findings.append(t002_finding(what, a))
-            if si > counts[sp] - 2:
-                findings.append(t003_finding(what, a))
-
-    # T004: one message per event (D3).  Judged over messages with
-    # existing endpoints so T005 problems don't cascade.
-    roles: Dict[EventRef, Tuple[str, RawArrow]] = {}
-    for a in raw.messages:
-        if not (raw.has_state(a.src) and raw.has_state(a.dst)):
-            continue
-        if a.src[0] == a.dst[0]:
-            # already condemned by T006; its send and receive collapse
-            # onto one process and would fake a D3 violation here
-            continue
-        for ev, role in (
-            ((a.src[0], a.src[1]), "send"),
-            ((a.dst[0], a.dst[1] - 1), "receive"),
-        ):
-            if ev in roles:
-                prev_role, prev = roles[ev]
-                findings.append(t004_finding(ev, prev_role, prev, role, a))
-            else:
-                roles[ev] = (role, a)
+    # T005 / T006 / T002 / T003 per arrow, then T004 (D3).  Control-arrow
+    # semantics beyond T005 (D1/D2 generalised, direction) belong to the
+    # control pass's C103.
+    for key, k, problem, prev in trace_problems(
+        counts, raw.messages, [c.pair for c in raw.control]
+    ):
+        arrows = raw.messages if key == "messages" else raw.control
+        findings.append(axiom_finding(problem, arrows[k], prev))
 
     # T011: cyclic message causality, with a minimal cycle witness.
     ok_msgs = valid_arrows(raw, raw.messages)
@@ -338,7 +227,7 @@ def sanitize(raw: RawTrace) -> List[Finding]:
                 "T011",
                 f"message causality is cyclic: a chain of "
                 f"{len(events)} event(s) leads from the receive of "
-                f"{_arrow_str(closing)} back to its send",
+                f"{arrow_str(closing)} back to its send",
                 location=closing.location,
                 states=tuple((p, e + 1) for p, e in events),
                 arrows=(closing.pair,),
@@ -384,7 +273,7 @@ def sanitize(raw: RawTrace) -> List[Finding]:
                 findings.append(
                     Finding(
                         "T010",
-                        f"message {_arrow_str(a)} is received at "
+                        f"message {arrow_str(a)} is received at "
                         f"{ts[dp][di]}, before it was sent at {ts[sp][si]}",
                         location=a.location,
                         states=(a.src, a.dst),
@@ -436,8 +325,3 @@ def _check_clocks(raw: RawTrace, ok_msgs: List[int]) -> List[Finding]:
                     )
                 )
     return out
-
-
-def _arrow_str(a: RawArrow) -> str:
-    tag = f" [{a.tag}]" if a.tag else ""
-    return f"({a.src[0]},{a.src[1]}) -> ({a.dst[0]},{a.dst[1]}){tag}"

@@ -42,6 +42,7 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from repro.causality.axioms import CONTROL, arrow_problems, axiom_error
 from repro.errors import MalformedTraceError
 
 __all__ = ["StateRef", "CausalOrder", "CycleError"]
@@ -73,33 +74,6 @@ Arrow = Tuple[StateRef, StateRef]
 EventRef = Tuple[int, int]  # (proc, event index); event e leaves state e
 
 
-def check_arrow(counts: Sequence[int], src: StateRef, dst: StateRef) -> None:
-    """Reject an arrow that is not well-formed against ``counts`` states
-    per process: a missing endpoint, a final-state source (D2), a
-    start-state target (D1), or a same-process arrow pointing backwards."""
-    for ref in (src, dst):
-        p, i = ref
-        if not (0 <= p < len(counts)):
-            raise MalformedTraceError(f"arrow endpoint {ref!r}: no such process")
-        if not (0 <= i < counts[p]):
-            raise MalformedTraceError(f"arrow endpoint {ref!r}: no such state")
-    (sp, si), (dp, di) = src, dst
-    if si > counts[sp] - 2:
-        raise MalformedTraceError(
-            f"arrow source {src!r} is a final state: it never "
-            f"completes, so the arrow could never be satisfied (D2)"
-        )
-    if di < 1:
-        raise MalformedTraceError(
-            f"arrow target {dst!r} is a start state: it is entered "
-            f"before anything can be waited for (D1)"
-        )
-    if sp == dp and si >= di:
-        raise MalformedTraceError(
-            f"same-process arrow {src!r} -> {dst!r} points backwards"
-        )
-
-
 class CausalOrder:
     """O(1) happened-before queries over a (possibly extended) deposet.
 
@@ -125,8 +99,9 @@ class CausalOrder:
         *interferes* with causality / the extended computation cannot be
         executed.
     MalformedTraceError
-        If an arrow references a nonexistent state or event, or points
-        backwards within one process.
+        If an arrow is not a well-formed control arrow
+        (:mod:`repro.causality.axioms`: T005 for a nonexistent state,
+        C103 for a D1/D2 violation or a backwards same-process arrow).
 
     >>> order = CausalOrder([2, 2], [((0, 0), (1, 1))])
     >>> order.concurrent((0, 1), (1, 1))
@@ -163,7 +138,9 @@ class CausalOrder:
         self._in: Dict[EventRef, Tuple[EventRef, ...]] = {}
         self._out: Dict[EventRef, Tuple[EventRef, ...]] = {}
         for src, dst in self._arrows:
-            check_arrow(self.state_counts, src, dst)
+            problems = arrow_problems(CONTROL, src, dst, self.state_counts)
+            if problems:
+                raise axiom_error(problems[0])
             self._link(src, dst)
         #: per-process state-clock matrices, shape (m_i, n), dtype int32;
         #: start states are the only seeds, every other row is entered.

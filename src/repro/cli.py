@@ -493,7 +493,7 @@ def _stream_session(lines, label: str, tenant: str, predicate: str, emit,
                 header = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedTraceError(
-                    f"{label}:{lineno}: not valid JSON ({exc})"
+                    f"{label}:{lineno}: not valid JSON ({exc})", rule="T001"
                 ) from exc
             sess = DetectionSession(tenant, label, header, predicate,
                                     label=label, **session_opts)
@@ -507,6 +507,7 @@ def _stream_session(lines, label: str, tenant: str, predicate: str, emit,
             tenant, label, sess.seq if sess is not None else 0,
             "source-lost" if lost else "malformed", str(exc),
             where=None if lineno is None else f"{label}:{lineno}",
+            rule=getattr(exc, "rule", None),
         )])
     else:
         if not sess.failed:

@@ -20,6 +20,8 @@ Every error raised on purpose by :mod:`repro` derives from
 
 from __future__ import annotations
 
+from typing import Optional
+
 __all__ = [
     "ReproError",
     "MalformedTraceError",
@@ -51,7 +53,19 @@ class ReproError(Exception):
 
 
 class MalformedTraceError(ReproError):
-    """A trace/deposet violates the model constraints (D1, D2, D3, acyclicity)."""
+    """A trace/deposet violates the model constraints (D1, D2, D3, acyclicity).
+
+    ``rule`` is the ``repro lint`` rule reporting the same problem with
+    the same text (or ``None``); ``location`` is where lint reports it --
+    ``messages[3]`` in a document, ``file:line`` in a stream -- and
+    prefixes the message (``None`` when unknown).
+    """
+
+    def __init__(self, message: str = "", *, rule: Optional[str] = None,
+                 location: Optional[str] = None):
+        super().__init__(message)
+        self.rule = rule
+        self.location = location
 
 
 class TruncatedStreamError(MalformedTraceError):

@@ -145,12 +145,15 @@ def event_error(
     code: str,
     message: str,
     where: Optional[str] = None,
+    rule: Optional[str] = None,
 ) -> Dict[str, Any]:
     ev = _base("error", tenant, session, seq)
     ev["code"] = code
     ev["message"] = message
     if where is not None:
         ev["where"] = where
+    if rule is not None:
+        ev["rule"] = rule
     return ev
 
 

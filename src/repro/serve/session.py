@@ -180,11 +180,11 @@ class DetectionSession:
 
     # -- feeding -------------------------------------------------------------
 
-    def _fail(self, code: str, message: str,
-              where: Optional[str] = None) -> Dict[str, Any]:
+    def _fail(self, code: str, message: str, where: Optional[str] = None,
+              rule: Optional[str] = None) -> Dict[str, Any]:
         self.failed = True
         return event_error(self.tenant, self.session, self.seq, code,
-                           message, where=where)
+                           message, where=where, rule=rule)
 
     def feed_line(self, line: str, lineno: Optional[int] = None
                   ) -> List[Dict[str, Any]]:
@@ -200,12 +200,13 @@ class DetectionSession:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             return self._record([self._fail(
-                "malformed", f"{where}: not valid JSON ({exc})", where
+                "malformed", f"{where}: not valid JSON ({exc})", where, "T001"
             )])
         try:
             kind = apply_stream_record(self.store, rec, where)
         except MalformedTraceError as exc:
-            return self._record([self._fail("malformed", str(exc), where)])
+            return self._record([self._fail("malformed", str(exc), where,
+                                            exc.rule)])
         if kind == "obs":
             # obs records do not advance seq, but the linter must see
             # them (inline suppressions ride in obs blocks).

@@ -44,8 +44,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.causality.axioms import CONTROL, arrow_problems, axiom_error
 from repro.causality.relations import (
-    Arrow, CausalOrder, CycleError, EventRef, StateRef, check_arrow,
+    Arrow, CausalOrder, CycleError, EventRef, StateRef,
 )
 from repro.errors import MalformedTraceError
 from repro.obs.metrics import METRICS
@@ -165,33 +166,39 @@ class CausalIndex(CausalOrder):
                 "this CausalIndex is a frozen snapshot or derived view; "
                 "append on the live store index"
             )
-        n = self.n
-        if not (0 <= proc < n):
+        if not (0 <= proc < self.n):
             raise MalformedTraceError(f"no process {proc}")
         counts = self.state_counts
-        m = counts[proc]  # index of the state being entered
-        after = counts[:proc] + (m + 1,) + counts[proc + 1 :]
-        dst = StateRef(proc, m)
-        incoming: Sequence[EventRef] = ()
-        if sources:
-            srcs = [StateRef(*src) for src in sources]
-            for src in srcs:
-                q, f = src
-                if q != proc and 0 <= q < n and f == counts[q] - 1:
-                    raise MalformedTraceError(
-                        f"arrow source {src!r} has not completed yet; streaming "
-                        f"appends must arrive in causal delivery order (D2)"
-                    )
-                check_arrow(after, src, dst)
-            for src in srcs:
-                self._arrows.append((src, dst))
-                self._link(src, dst)
-            incoming = self._in.get((proc, m - 1), ())
+        dst = StateRef(proc, counts[proc])
+        after = counts[:proc] + (dst.index + 1,) + counts[proc + 1 :]
+        srcs = [StateRef(*src) for src in sources]
+        for src in srcs:
+            # Judged as a batch arrow against the counts after the append;
+            # a source that exists but has not completed breaks causal
+            # delivery order (T009) rather than D2.
+            problems = arrow_problems(CONTROL, src, dst, after)
+            if problems and problems[0][0] != "T005":
+                problems = arrow_problems(CONTROL, src, dst, after,
+                                          streamed=True)
+            if problems:
+                raise axiom_error(problems[0])
+        self._append(dst, srcs, after)
+        return dst
+
+    def _append(self, dst: StateRef, srcs: Sequence[StateRef],
+                after: Tuple[int, ...]) -> None:
+        """:meth:`append_event` for sources already judged: ``dst`` is the
+        state entered, ``after`` the state counts once it is."""
+        proc, m = dst
+        for src in srcs:
+            self._arrows.append((src, dst))
+            self._link(src, dst)
+        incoming = self._in.get((proc, m - 1), ()) if srcs else ()
         arr = self._clocks[proc]
         if m >= arr.shape[0] or not self._owned[proc]:
             # Grow capacity (amortised O(1) appends), or copy a block
             # another index shares: it may append its own row m.
-            grown = np.full((max(8, 2 * m), n), -1, dtype=np.int32)
+            grown = np.full((max(8, 2 * m), self.n), -1, dtype=np.int32)
             grown[:m] = arr[:m]
             self._clocks[proc] = arr = grown
             self._owned[proc] = True
@@ -200,7 +207,6 @@ class CausalIndex(CausalOrder):
         self._enter(proc, m - 1, incoming, arr[m])
         self.state_counts = after
         _APPENDS.inc()
-        return dst
 
     # -- arrow insertion (cone recompute) -----------------------------------
 
@@ -221,7 +227,9 @@ class CausalIndex(CausalOrder):
         if not fresh:
             return fresh
         for src, dst in fresh:
-            check_arrow(self.state_counts, src, dst)
+            problems = arrow_problems(CONTROL, src, dst, self.state_counts)
+            if problems:
+                raise axiom_error(problems[0])
         out, inn = self._out, self._in
         undo = []  # (adjacency, event, its edges before the link)
         stack: List[EventRef] = []

@@ -18,12 +18,14 @@ persists the computation as an immutable, CRC-checked commit chain with
 branch/copy-on-write semantics, paging variable columns through a
 bounded LRU cache so traces larger than RAM stream in and out.
 
-Every model rule -- D1--D3 validation, message/control bookkeeping,
-control-arrow dedup, epoch bumps, the live causal index -- is implemented
-here once.  The subclass overrides only the storage primitives (where a
-state's variables live: :meth:`_push_state`, :meth:`_push_arrow`, the
-reads and the packed columns) and the chain verbs, so the engines agree
-by construction; the hypothesis suite in ``tests/storage/`` checks it.
+Every model rule -- D1--D3 validation (judged by
+:mod:`repro.causality.axioms`, with lint's rule and text),
+message/control bookkeeping, control-arrow dedup, epoch bumps, the live
+causal index -- is implemented here once.  The subclass overrides only
+the storage primitives (where a state's variables live:
+:meth:`_push_state`, :meth:`_push_arrow`, the reads and the packed
+columns) and the chain verbs, so the engines agree by construction; the
+hypothesis suite in ``tests/storage/`` checks it.
 The commit-chain verbs (:meth:`commit`, :meth:`branch`, :attr:`head`)
 are no-ops/``None`` on the in-memory engine.
 
@@ -31,7 +33,8 @@ Append discipline
 -----------------
 * :meth:`append_state` -- one event in causal delivery order.  When the
   event is a receive, pass ``received_from`` so the message arrow joins at
-  append time (O(n)); D3 (one message per event) is enforced here.
+  append time (O(n)); the message is judged as a streamed record (T009
+  before T005/T006) and D3 (T004) is enforced here.
 * :meth:`append_controls` -- a batch of control arrows between existing
   states (:meth:`append_control` is the one-arrow form); one propagation
   updates the union of the targets' downstream cones, all or nothing.
@@ -52,6 +55,9 @@ from typing import (
     Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
+from repro.causality.axioms import (
+    MESSAGE, arrow_problems, axiom_error, d3_problem, d3_problems,
+)
 from repro.causality.relations import Arrow, EventRef, StateRef
 from repro.errors import (
     MalformedTraceError,
@@ -315,28 +321,28 @@ class TraceStore:
         else:
             new_vars = dict(self.latest_vars(proc))
             new_vars.update(updates or {})
-        sources: List[StateRef] = []
-        src = received_from
-        if src is not None:
-            src = StateRef(*src)
-            if src.proc == proc:
-                raise MalformedTraceError("a process cannot receive its own message")
-            send_ev: EventRef = (src.proc, src.index)
-            if send_ev in self._used_events:
-                raise MalformedTraceError(
-                    f"event {send_ev} used by both "
-                    f"{self._used_events[send_ev]!r} and the message from "
-                    f"{src!r} (D3 / one message per event)"
-                )
-            sources.append(src)
-        entered = self.index.append_event(proc, sources)  # validates endpoints
+        counts = self.index.state_counts
+        entered = StateRef(proc, counts[proc])
+        after = counts[:proc] + (entered.index + 1,) + counts[proc + 1 :]
+        src = None
+        if received_from is not None:
+            msg = MessageArrow(received_from, entered, payload=payload, tag=tag)
+            src = msg.src
+            problems = arrow_problems(MESSAGE, src, entered, after,
+                                      streamed=True)
+            if problems:
+                raise axiom_error(problems[0])
+            # D3: the receive event is new, so only the send can clash.
+            if src in self._used_events:
+                raise axiom_error(d3_problem(src, self._used_events[src], msg))
+        self.index._append(entered, () if src is None else (src,), after)
         self._push_state(proc, new_vars, time, src, payload, tag)
         if self._times is not None:
             self._times[proc].append(
                 float(time) if time is not None else self._times[proc][-1]
             )
         if src is not None:
-            self._add_message(MessageArrow(src, entered, payload=payload, tag=tag))
+            self._add_message(msg)
             _MESSAGES.inc()
         _STATES.inc()
         return entered
@@ -355,17 +361,14 @@ class TraceStore:
         ``append_state(received_from=...)`` costs O(n).  Bumps
         :attr:`epoch`.
         """
-        src, dst = StateRef(*src), StateRef(*dst)
-        if src.proc == dst.proc:
-            raise MalformedTraceError("a process cannot receive its own message")
         msg = MessageArrow(src, dst, payload=payload, tag=tag)
-        for ev in ((src.proc, src.index), (dst.proc, dst.index - 1)):
-            if ev in self._used_events:
-                raise MalformedTraceError(
-                    f"event {ev} used by both {self._used_events[ev]!r} and "
-                    f"{msg!r} (D3 / one message per event)"
-                )
-        self.index.insert_arrows([(src, dst)])
+        problems = arrow_problems(MESSAGE, msg.src, msg.dst, self.state_counts)
+        if problems:
+            raise axiom_error(problems[0])
+        clashes = d3_problems(self._used_events, msg)
+        if clashes:
+            raise axiom_error(clashes[0][0])
+        self.index.insert_arrows([(msg.src, msg.dst)])
         self._add_message(msg)
         self.epoch += 1
         _MESSAGES.inc()

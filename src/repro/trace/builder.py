@@ -121,8 +121,6 @@ class ComputationBuilder:
         self._check_proc(proc)
         if message.delivered:
             raise MalformedTraceError("message already delivered")
-        if message.src.proc == proc:
-            raise MalformedTraceError("a process cannot receive its own message")
         dst = self._store.append_state(
             proc, updates,
             received_from=message.src, payload=message.payload, tag=message.tag,

@@ -9,7 +9,8 @@ strict readers (:mod:`repro.trace.io`) raise on the first problem, the
 lenient ones (:mod:`repro.analysis.raw`) report each as a ``T001`` --
 so both reject the same input at the same place with the same text.
 Locations are JSON paths in documents and the caller's ``where`` in
-streams.  Semantic checks (D1--D3, causal delivery order) are not here.
+streams.  Semantic checks (D1--D3, causal delivery order) are not here:
+:mod:`repro.causality.axioms` judges them for every reader.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ class HeaderParts(NamedTuple):
 
 def raise_first(problems: Sequence[Problem]) -> None:
     """The strict contract: fail on the first problem, if any, with
-    ``location: message``."""
+    ``location: message`` -- lint's T001 there."""
     if problems:
         location, message = problems[0]
         raise MalformedTraceError(
-            message if location is None else f"{location}: {message}")
+            message if location is None else f"{location}: {message}",
+            rule="T001", location=location)
 
 
 def _is_number(value: Any) -> bool:

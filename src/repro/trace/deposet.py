@@ -21,6 +21,9 @@ from typing import (
     Tuple,
 )
 
+from repro.causality.axioms import (
+    CONTROL, arrow_problems, axiom_error, trace_problems,
+)
 from repro.causality.relations import CycleError, StateRef
 from repro.errors import InterferenceError, MalformedTraceError
 from repro.store.columns import ColumnBlock, pack_block
@@ -58,7 +61,9 @@ class Deposet:
     Raises
     ------
     MalformedTraceError
-        On violations of D1--D3 or a cyclic message relation.
+        On the first problem ``repro lint`` reports first
+        (:mod:`repro.causality.axioms`; T002--T006, a cyclic message
+        relation, C103), with its ``rule`` and JSON path ``location``.
     InterferenceError
         When ``control_arrows`` interfere with the underlying causality.
     """
@@ -91,16 +96,10 @@ class Deposet:
         self._messages: Tuple[MessageArrow, ...] = tuple(
             m if isinstance(m, MessageArrow) else MessageArrow(*m) for m in messages
         )
+        given = [(StateRef(*a), StateRef(*b)) for a, b in control_arrows]
         # Control arrows are deduped: a repeated arrow adds no causality
         # but would inflate the event graph and the obs arrow counters.
-        control: List[ControlArrow] = []
-        seen_control = set()
-        for a, b in control_arrows:
-            arrow = (StateRef(*a), StateRef(*b))
-            if arrow not in seen_control:
-                seen_control.add(arrow)
-                control.append(arrow)
-        self._control: Tuple[ControlArrow, ...] = tuple(control)
+        self._control: Tuple[ControlArrow, ...] = tuple(dict.fromkeys(given))
         if proc_names is not None and len(proc_names) != len(self._vars):
             raise MalformedTraceError(
                 f"{len(proc_names)} names for {len(self._vars)} processes"
@@ -122,7 +121,17 @@ class Deposet:
                         f"timestamps for process {i} have {len(row)} entries "
                         f"for {len(self._vars[i])} states"
                     )
-        self._validate_messages()
+        counts = self.state_counts
+        for key, k, problem, _prev in trace_problems(
+            counts, self._messages, given
+        ):
+            raise axiom_error(problem, f"{key}[{k}]")
+        # A message cycle first, as lint reports T011 before any C103.
+        self.base_order
+        for k, (a, b) in enumerate(given):
+            problems = arrow_problems(CONTROL, a, b, counts)
+            if problems:
+                raise axiom_error(problems[0], f"control[{k}]")
         # Force causality construction so malformed traces fail eagerly.
         self.order
 
@@ -215,16 +224,9 @@ class Deposet:
     def events(self) -> Tuple[Tuple[Event, ...], ...]:
         """Per-process event sequences, derived from the message arrows."""
         roles: Dict[Tuple[int, int], Tuple[EventKind, int]] = {}
-        for mi, msg in enumerate(self._messages):
-            send_ev = (msg.src.proc, msg.src.index)
-            recv_ev = (msg.dst.proc, msg.dst.index - 1)
-            for ev, kind in ((send_ev, EventKind.SEND), (recv_ev, EventKind.RECEIVE)):
-                if ev in roles:
-                    raise MalformedTraceError(
-                        f"event {ev} participates in two messages "
-                        f"(D3 / one message per event)"
-                    )
-                roles[ev] = (kind, mi)
+        for mi, msg in enumerate(self._messages):  # D3 held at construction
+            roles[msg.src.proc, msg.src.index] = (EventKind.SEND, mi)
+            roles[msg.dst.proc, msg.dst.index - 1] = (EventKind.RECEIVE, mi)
         out: List[Tuple[Event, ...]] = []
         for i, proc_states in enumerate(self._vars):
             evs = []
@@ -254,39 +256,6 @@ class Deposet:
             raise InterferenceError(
                 "control relation interferes with causality", cycle=exc.remaining
             ) from exc
-
-    # -- validation ----------------------------------------------------------
-
-    def _validate_messages(self) -> None:
-        counts = self.state_counts
-        seen_events: Dict[Tuple[int, int], MessageArrow] = {}
-        for msg in self._messages:
-            for ref in (msg.src, msg.dst):
-                if not (0 <= ref.proc < self.n):
-                    raise MalformedTraceError(f"{msg!r}: no process {ref.proc}")
-                if not (0 <= ref.index < counts[ref.proc]):
-                    raise MalformedTraceError(f"{msg!r}: no state {ref!r}")
-            if msg.dst.index < 1:
-                raise MalformedTraceError(
-                    f"{msg!r}: received before the initial state (D1)"
-                )
-            if msg.src.index > counts[msg.src.proc] - 2:
-                raise MalformedTraceError(
-                    f"{msg!r}: sent after the final state (D2)"
-                )
-            for ev in ((msg.src.proc, msg.src.index), (msg.dst.proc, msg.dst.index - 1)):
-                if ev in seen_events:
-                    raise MalformedTraceError(
-                        f"event {ev} used by both {seen_events[ev]!r} and {msg!r} "
-                        f"(D3 / one message per event)"
-                    )
-                seen_events[ev] = msg
-        for a, b in self._control:
-            for ref in (a, b):
-                if not (0 <= ref.proc < self.n):
-                    raise MalformedTraceError(f"control arrow endpoint {ref!r}: no process")
-                if not (0 <= ref.index < counts[ref.proc]):
-                    raise MalformedTraceError(f"control arrow endpoint {ref!r}: no state")
 
     # -- derivation ----------------------------------------------------------
 

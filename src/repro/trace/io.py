@@ -53,7 +53,9 @@ ones), and the first problem raises
 :class:`~repro.errors.MalformedTraceError` carrying the offending
 location -- the JSON path (``messages[3].src``) for batch documents,
 ``file:line`` for streams.  Semantic problems (D1--D3, causal delivery
-order) are raised by the deposet and the store, prefixed the same way.
+order) are judged by :mod:`repro.causality.axioms` -- in the deposet,
+the store and for ``ctl`` records here -- and raised with lint's rule
+and text, prefixed the same way.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ import time
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
+from repro.causality.axioms import CONTROL, arrow_problems, axiom_error
 from repro.causality.relations import StateRef
 from repro.errors import (
     MalformedTraceError,
@@ -173,7 +176,7 @@ def deposet_from_dict(data: Dict[str, Any]) -> Deposet:
     ``control[0]``, ``timestamps[1]``) -- the first problem
     :func:`~repro.trace.decode.decode_document` reports; semantic
     problems (D1--D3, interference) surface from the :class:`Deposet`
-    constructor with the offending state refs in the message.
+    constructor with lint's rule, text and JSON path (``messages[2]``).
     """
     parts, problems = decode_document(data)
     raise_first(problems)
@@ -206,7 +209,7 @@ def load_deposet(path: Union[str, Path]) -> Deposet:
     """Read a deposet written by :func:`dump_deposet`.
 
     Malformed traces raise :class:`MalformedTraceError` prefixed with the
-    file path (and the offending JSON path for structural errors).
+    file path and the offending JSON path, with lint's ``rule``.
     """
     return load_deposet_meta(path)[0]
 
@@ -228,7 +231,8 @@ def load_deposet_meta(
     try:
         return deposet_from_dict(data), data.get("obs")
     except MalformedTraceError as exc:
-        raise MalformedTraceError(f"{path}: {exc}") from exc
+        raise MalformedTraceError(f"{path}: {exc}", rule=exc.rule,
+                                  location=exc.location) from exc
 
 
 # -- streaming ---------------------------------------------------------------
@@ -423,25 +427,33 @@ def apply_stream_record(
 
     ``"ev"``/``"recv"`` append a state, ``"ctl"`` inserts a control arrow,
     ``"obs"`` lands on ``store.obs``.  Malformed records raise
-    :class:`MalformedTraceError` prefixed with ``where``: structural
-    problems are the first one
-    :func:`~repro.trace.decode.decode_stream_record` reports, semantic
-    ones come from the store.  This is the single application path
-    shared by :func:`ingest_event_stream` and the serving layer (one
-    session = one store fed through here).
+    :class:`MalformedTraceError` prefixed with ``where`` (its
+    ``location``) and carrying lint's ``rule``: structural problems are
+    the first one :func:`~repro.trace.decode.decode_stream_record`
+    reports, semantic ones the axiom judge's for a streamed record.
+    This is the single application path shared by
+    :func:`ingest_event_stream` and the serving layer (one session = one
+    store fed through here).
     """
     kind, fields, problems = decode_stream_record(rec, store.n, where)
     if problems:
         raise_first(problems)
     try:
         if kind == "ctl":
-            store.append_control(fields["src"], fields["dst"])
+            src, dst = fields["src"], fields["dst"]
+            # A streamed arrow, judged as it arrives (T009 first).
+            problems = arrow_problems(CONTROL, src, dst, store.state_counts,
+                                      streamed=True)
+            if problems:
+                raise axiom_error(problems[0])
+            store.append_control(src, dst)
         elif kind == "obs":
             store.obs = fields["obs"]
         else:
             store.append_state(**fields)
     except MalformedTraceError as exc:
-        raise MalformedTraceError(f"{where}: {exc}") from exc
+        raise MalformedTraceError(f"{where}: {exc}", rule=exc.rule,
+                                  location=where) from exc
     return kind
 
 
@@ -550,7 +562,8 @@ def ingest_event_stream(
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise MalformedTraceError(f"{where}: not valid JSON ({exc})") from exc
+            raise MalformedTraceError(f"{where}: not valid JSON ({exc})",
+                                      rule="T001", location=where) from exc
         if store is None:
             store = stream_store_from_header(rec, where, store_target)
         else:

@@ -13,7 +13,9 @@ states: ``src ~> dst`` where
 
 Constraints D1 ("no receive before the initial state") and D2 ("no send
 after the final state") then read: ``dst.index >= 1`` (structural) and
-``src.index <= m_src - 2``.
+``src.index <= m_src - 2``.  A ``MessageArrow`` is only a value: whether
+it is well formed in a computation (D1--D3, two distinct processes) is
+judged by :mod:`repro.causality.axioms` when a deposet or store takes it.
 """
 
 from __future__ import annotations
@@ -82,10 +84,6 @@ class MessageArrow:
     def __post_init__(self) -> None:
         object.__setattr__(self, "src", StateRef(*self.src))
         object.__setattr__(self, "dst", StateRef(*self.dst))
-        if self.src.proc == self.dst.proc:
-            raise ValueError(
-                f"message {self.src!r} ~> {self.dst!r} stays on one process"
-            )
 
     def __repr__(self) -> str:
         extra = f" tag={self.tag}" if self.tag else ""

@@ -87,10 +87,9 @@ def test_t007_fifo_inversion(chain_dict):
 
 def test_t008_clock_mismatch(chain_dict):
     # correct extended clocks for the chain, then skew one entry
-    from repro.trace.io import deposet_to_dict
+    from repro.trace.io import deposet_from_dict, deposet_to_dict
 
-    raw = parse_clean(chain_dict)
-    full = deposet_to_dict(raw.to_deposet(), clocks=True)
+    full = deposet_to_dict(deposet_from_dict(chain_dict), clocks=True)
     full["clocks"][2][2][0] += 5
     (f,) = sanitize(parse_clean(full))
     assert f.rule_id == "T008"
@@ -101,10 +100,9 @@ def test_t008_clock_mismatch(chain_dict):
 def test_t008_suppressed_when_an_arrow_was_dropped(chain_dict):
     # the orphan arrow owns the report; stale recomputed clocks must not
     # cascade into a wall of T008s
-    from repro.trace.io import deposet_to_dict
+    from repro.trace.io import deposet_from_dict, deposet_to_dict
 
-    raw = parse_clean(chain_dict)
-    full = deposet_to_dict(raw.to_deposet(), clocks=True)
+    full = deposet_to_dict(deposet_from_dict(chain_dict), clocks=True)
     full["messages"][0]["dst"] = [7, 1]
     assert ids(sanitize(parse_clean(full))) == ["T005"]
 

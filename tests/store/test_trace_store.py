@@ -41,8 +41,9 @@ def test_d3_one_message_per_event():
     # and so does the receive event of P1
     with pytest.raises(MalformedTraceError, match="D3"):
         store.append_message((0, 1), (1, 1))
-    with pytest.raises(MalformedTraceError, match="own message"):
+    with pytest.raises(MalformedTraceError, match="stays on process 0") as err:
         store.append_state(0, received_from=(0, 0))
+    assert err.value.rule == "T006"
 
 
 def test_append_requires_causal_delivery_order():

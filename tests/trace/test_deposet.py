@@ -93,8 +93,28 @@ def test_d3_event_both_send_and_receive_rejected():
 
 
 def test_same_process_message_rejected():
-    with pytest.raises(ValueError):
-        MessageArrow((0, 0), (0, 1))
+    """A same-process message is T006, with lint's text, from the
+    deposet constructor and from the store alike."""
+    from repro.store import TraceStore
+
+    with pytest.raises(MalformedTraceError) as dep_err:
+        Deposet([[{}, {}, {}], [{}]], [MessageArrow((0, 0), (0, 1))])
+    assert dep_err.value.rule == "T006"
+    assert dep_err.value.location == "messages[0]"
+    text = "message (0,0) -> (0,1) stays on process 0"
+    assert str(dep_err.value) == f"messages[0]: {text}"
+
+    store = TraceStore(2)
+    store.append_state(0)
+    with pytest.raises(MalformedTraceError) as store_err:
+        store.append_state(0, received_from=(0, 0))
+    assert store_err.value.rule == "T006"
+    assert str(store_err.value) == "message (0,0) -> (0,2) stays on process 0"
+    store.append_state(0)
+    with pytest.raises(MalformedTraceError) as msg_err:
+        store.append_message((0, 0), (0, 1))
+    assert msg_err.value.rule == "T006"
+    assert str(msg_err.value) == text
 
 
 def test_cyclic_messages_rejected():
