@@ -28,12 +28,7 @@ from repro.analysis.fingerprint import (
     suppressions_from_obs,
     write_baseline,
 )
-from repro.analysis.incremental import (
-    RULE_MODES,
-    IncrementalRule,
-    RuleMode,
-    StreamingLinter,
-)
+from repro.analysis.incremental import RULE_MODES, RuleMode, StreamingLinter
 from repro.analysis.raw import (
     RawTrace,
     StreamParser,
@@ -55,7 +50,6 @@ from repro.analysis.storelint import gate_findings, lint_store
 __all__ = [
     "Classification",
     "Finding",
-    "IncrementalRule",
     "PredicateClass",
     "RawTrace",
     "Report",

@@ -24,13 +24,11 @@ computation -- before any replay is attempted:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.raw import RawTrace
-from repro.analysis.sanitizer import (
-    axiom_finding, find_event_cycle, valid_arrows,
-)
+from repro.analysis.raw import RawArrow
+from repro.analysis.sanitizer import axiom_finding, find_event_cycle
 from repro.causality.axioms import CONTROL, arrow_problems
 from repro.causality.relations import CausalOrder, CycleError
 from repro.errors import NoControllerExistsError, NotDisjunctiveError
@@ -44,26 +42,27 @@ Ref = Tuple[int, int]
 
 
 def analyze_control(
-    raw: RawTrace,
     dep: Deposet,
+    control: Sequence[RawArrow],
     predicate: Optional[Predicate] = None,
 ) -> List[Finding]:
     """Run every control-relation rule.
 
     ``dep`` is the validated deposet of the *underlying* computation
-    (messages only, no control relation) -- the runner constructs it once
-    the sanitizer reports no errors.  ``predicate`` enables the
+    (messages only, no control relation); ``control`` is the declared
+    control relation, every arrow with where the input declared it
+    (repeats included: C105 reports them).  ``predicate`` enables the
     predicate-dependent rules (C104, C106, C107).
     """
     findings: List[Finding] = []
-    counts = raw.state_counts
-    msgs = [raw.messages[k].pair for k in valid_arrows(raw, raw.messages)]
+    counts = dep.state_counts
+    msgs = [(m.src, m.dst) for m in dep.messages]
 
     # C103: unenforceable endpoints.  Judged first; such arrows cannot
     # participate in the event graph (their events do not exist).  An
     # arrow with a missing endpoint is the sanitizer's T005.
     enforceable: List[int] = []
-    for k, c in enumerate(raw.control):
+    for k, c in enumerate(control):
         problems = arrow_problems(CONTROL, c.src, c.dst, counts)
         if not problems:
             enforceable.append(k)
@@ -74,9 +73,9 @@ def analyze_control(
     seen: Dict[Tuple[Ref, Ref], int] = {}
     duplicates = set()
     for k in enforceable:
-        c = raw.control[k]
+        c = control[k]
         if c.pair in seen:
-            first = raw.control[seen[c.pair]]
+            first = control[seen[c.pair]]
             duplicates.add(k)
             findings.append(
                 Finding(
@@ -99,7 +98,7 @@ def analyze_control(
     # control arrows, closing only through control arrows (messages-only
     # cycles are the sanitizer's T011 and cannot occur here: the runner
     # gates this pass on a sanitizer-clean trace).
-    combined = msgs + [raw.control[k].pair for k in unique]
+    combined = msgs + [control[k].pair for k in unique]
     order: Optional[CausalOrder] = None
     cycle = None
     try:
@@ -110,7 +109,7 @@ def analyze_control(
         )
     if cycle is not None:
         events, ci = cycle
-        closing = raw.control[unique[ci - len(msgs)]]
+        closing = control[unique[ci - len(msgs)]]
         findings.append(
             Finding(
                 "C101",
@@ -134,7 +133,7 @@ def analyze_control(
     if order is not None:
         sent = set(msgs)
         for k in unique:
-            c = raw.control[k]
+            c = control[k]
             if c.pair in sent or order.implied(c.src, c.dst):
                 findings.append(
                     Finding(
@@ -191,7 +190,7 @@ def analyze_control(
     # *before* the arrow's target -- if the local predicate is false
     # there, online control would park the process in a bad state.
     for k in unique:
-        c = raw.control[k]
+        c = control[k]
         dp, di = c.dst
         local = disjunctive.local(dp)
         if local is None:

@@ -1,189 +1,145 @@
-"""The streaming rule engine: online lint over ``repro-events/1``.
+"""Online lint over ``repro-events/1``: an accepted stream, linted from its store.
 
-``repro lint`` (PR 5) certifies a trace in batch, after the fact; the
-detection pipeline (PRs 4/6/7) went streaming long ago.  This module
-closes the gap: a :class:`StreamingLinter` consumes the same records
-``repro watch`` and ``repro serve`` consume and emits findings *as the
-corruption arrives*, with O(delta) work per record for every rule that
-admits it.
+``repro watch --lint`` and ``repro serve --lint`` lint a stream while it
+arrives.  Every record a session lints was first accepted by the strict
+reader (:func:`~repro.trace.io.apply_stream_record`), so a
+:class:`StreamingLinter` keeps no copy of the trace: it reads the
+session's :class:`~repro.store.TraceStore` and keeps only what the store
+lacks --
 
-Architecture
-------------
+* each declared arrow's location (``file:lineno``), including control
+  records the store dropped as repeats (C105 reports them);
+* the T007 channel state: per directed channel, its messages by send;
+* whether every event record carried ``time`` (one without it drops the
+  timestamp channel, so T010 is not judged);
+* the findings it streamed.
 
-* :class:`IncrementalRule` is the protocol: ``on_event`` / ``on_arrow``
-  react to the delta one record appended, ``on_epoch_reset`` reacts to a
-  causality rewrite of the prefix, ``finalize`` runs once over the whole
-  trace.  A rule that is inherently whole-trace implements only
-  ``finalize`` -- and says so in its :data:`RULE_MODES` metadata.
-* The mode split is *proved*, not guessed (pinned by the hypothesis
-  prefix-identity suite in ``tests/analysis/test_incremental.py``):
+Rule modes (:data:`RULE_MODES`, rendered into docs/ANALYSIS.md):
 
-  - **incremental**: T001/T009 (lenient parse, via the
-    :class:`~repro.analysis.raw.StreamParser` mirror) and T002/T004/
-    T006/T007 -- exactly the sanitizer rules that are monotone in
-    arrival order.  On a clean stream every cross-process arrow's
-    source event has completed at arrival (else T009 fired), so arrows
-    activate in list order and the accumulated findings equal batch
-    :func:`~repro.analysis.sanitizer.sanitize` restricted to those
-    rules, on every prefix, by construction (both sides build findings
-    through the shared constructors in ``sanitizer.py``).
-  - **finalize**: T003 (only decidable at end of input -- a source
-    state is "final" until the next event), T005 (endpoints heal as
-    states arrive), T008 (needs recorded clocks; batch format only),
-    T010 (retracts when the timestamp channel is dropped mid-stream),
-    T011 (a cycle in clean arrival order is impossible; the witness
-    search is whole-trace), and the entire C/P/R families (whole-trace
-    passes over the validated deposet).
+* **T007 streams** at the record that crosses.  On an accepted stream a
+  message arrives after its send completed, into the newest state of its
+  receiver, so the inversions it closes are exactly the messages on its
+  channel sent after it.
+* :meth:`StreamingLinter.report` runs **T010 and the deep passes**
+  (:func:`~repro.analysis.runner.run_deep_passes`) over
+  ``store.snapshot()``.
+* T001--T006, T008, T009, T011, C101 and C103 **cannot occur** on an
+  accepted stream: the strict reader rejects the record that would
+  carry them, and the session ends with that error.
 
-* Arrival-order violations (any T009) or an epoch reset set the
-  ``dirty`` flag: the incremental engine's activation bookkeeping is no
-  longer trustworthy, so affected rules degrade to finalize -- the
-  report recomputes them via a full :func:`sanitize` -- while parse
-  findings keep streaming.  Correctness is never lost, only latency.
+Prefix identity: on every prefix of every stream the strict reader
+accepts, :meth:`~StreamingLinter.report` equals batch
+:func:`~repro.analysis.runner.run_rules` over the lenient parse of that
+prefix -- the same findings as a multiset, the same ``passes`` and
+``skipped`` (pinned by ``tests/analysis/test_incremental.py``).
 
-Work accounting: every feed updates both the global
-``analysis.lint.work.*`` metrics and the linter's own :attr:`work`
-dict; the per-record cost of the incremental rules is independent of
-the prefix length (heap pops and channel comparisons are
-output-sensitive), which the metrics test pins.
+A linter built without a store (``StreamingLinter(source=, predicate=)``
+fed through :meth:`~StreamingLinter.feed_record` or
+:meth:`~StreamingLinter.feed_line`) opens an in-memory store from the
+header with :func:`~repro.trace.io.stream_store_from_header` and applies
+each record with :func:`~repro.trace.io.apply_stream_record`: the strict
+path a session takes.  A record it rejects becomes exactly one finding,
+the error's rule, location and text, and every later record is ignored,
+as ``watch --lint`` and ``serve --lint`` end the session there.
+
+Work accounting: every record updates both the global
+``analysis.lint.work.*`` metrics and the linter's own :attr:`work` dict
+(``records``, ``events``, ``arrows``, ``channel_cmps``, ``findings``);
+T007's channel comparisons are output-sensitive, so the per-record cost
+does not grow with the stream.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
+import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.findings import Finding, Report
-from repro.analysis.raw import RawArrow, RawTrace, StreamParser, Ref
+from repro.analysis.raw import RawArrow
 from repro.analysis.runner import DEEP_PASSES, run_deep_passes
-from repro.analysis.sanitizer import axiom_finding, sanitize, t007_finding
-from repro.causality.axioms import (
-    MESSAGE, arrow_problems, claim_events, d3_problems,
-)
+from repro.analysis.sanitizer import t007_finding, t010_findings
+from repro.causality.relations import CycleError
+from repro.errors import MalformedTraceError
 from repro.obs.metrics import METRICS
 from repro.predicates.base import Predicate
-from repro.trace.io import STREAM_FORMAT
+from repro.store.trace_store import TraceStore
+from repro.trace.io import (
+    STREAM_FORMAT, apply_stream_record, stream_store_from_header,
+)
 
 __all__ = [
-    "IncrementalRule",
     "RuleMode",
     "RULE_MODES",
-    "INCREMENTAL_SANITIZER_IDS",
     "StreamingLinter",
     "LINT_STATE_FORMAT",
 ]
 
 #: Snapshot format marker for :meth:`StreamingLinter.snapshot`.
-LINT_STATE_FORMAT = "repro-lint-state/1"
+LINT_STATE_FORMAT = "repro-lint-state/2"
+#: The previous format (a lenient mirror of the whole trace), still
+#: restorable so a session checkpointed by an older server resumes.
+_LINT_STATE_V1 = "repro-lint-state/1"
 
-_W_RECORDS = METRICS.counter("analysis.lint.work.records")
-_W_EVENTS = METRICS.counter("analysis.lint.work.events")
-_W_ARROWS = METRICS.counter("analysis.lint.work.arrows")
-_W_HEAP = METRICS.counter("analysis.lint.work.heap_ops")
-_W_CHANNEL = METRICS.counter("analysis.lint.work.channel_cmps")
-_W_FINDINGS = METRICS.counter("analysis.lint.work.findings")
 _GLOBALS = {
-    "records": _W_RECORDS,
-    "events": _W_EVENTS,
-    "arrows": _W_ARROWS,
-    "heap_ops": _W_HEAP,
-    "channel_cmps": _W_CHANNEL,
-    "findings": _W_FINDINGS,
+    key: METRICS.counter(f"analysis.lint.work.{key}")
+    for key in ("records", "events", "arrows", "channel_cmps", "findings")
 }
-
-
-class IncrementalRule(Protocol):
-    """One rule (or rule family) ported to the streaming engine.
-
-    ``on_event``/``on_arrow`` receive the delta a single stream record
-    appended and return the findings it provably causes on every later
-    prefix; ``on_epoch_reset`` invalidates order-dependent internal
-    state after a causality rewrite; ``finalize`` runs whole-trace
-    checks once at end of input.  Implementations must do O(delta) work
-    per ``on_*`` call (amortized, output-sensitive).
-    """
-
-    #: rule ids this implementation is responsible for
-    rule_ids: Tuple[str, ...]
-
-    def on_event(self, ref: Ref, raw: RawTrace) -> List[Finding]:
-        """A state ``ref = (proc, index)`` was appended."""
-        ...
-
-    def on_arrow(
-        self, arrow: RawArrow, kind: str, raw: RawTrace
-    ) -> List[Finding]:
-        """An arrow arrived (``kind`` is ``"message"`` or ``"control"``)."""
-        ...
-
-    def on_epoch_reset(self) -> None:
-        """The prefix's causality was rewritten; drop derived state."""
-        ...
-
-    def finalize(self, raw: RawTrace) -> List[Finding]:
-        """Whole-trace checks at end of input."""
-        ...
 
 
 @dataclass(frozen=True)
 class RuleMode:
-    """How one catalogue rule runs in the streaming engine."""
+    """How one catalogue rule runs on a stream."""
 
-    mode: str  # "incremental" | "finalize"
+    mode: str  # "incremental" (at its record) | "finalize" (in report())
     reason: str
 
+
+_REJECTED = "cannot occur on an accepted stream: the strict reader rejects "
 
 #: Per-rule streaming mode, with the argument for it.  Kept in sync with
 #: the catalogue by ``tests/analysis/test_incremental.py`` and rendered
 #: into docs/ANALYSIS.md.
 RULE_MODES: Dict[str, RuleMode] = {
-    "T001": RuleMode("incremental",
-                     "structural parse check; local to one record"),
-    "T002": RuleMode("incremental",
-                     "monotone once both endpoints exist (a stream recv "
-                     "always creates its target at index >= 1, so this "
-                     "fires on batch documents only)"),
-    "T003": RuleMode("finalize",
-                     "'source is the final state' is undecidable before "
-                     "end of input: the next record may complete it"),
-    "T004": RuleMode("incremental",
-                     "event roles are claimed in arrival order, which on "
-                     "a clean stream equals batch list order"),
-    "T005": RuleMode("finalize",
-                     "endpoints heal: a state that does not exist at this "
-                     "prefix may be appended by the next record"),
-    "T006": RuleMode("incremental",
-                     "same-process arrows are condemned forever once both "
-                     "endpoints exist (pending-activation heap)"),
+    "T001": RuleMode("incremental", _REJECTED + "a record the decoder "
+                     "cannot use, at its line"),
+    "T002": RuleMode("incremental", "cannot occur on a stream: a recv "
+                     "enters a state with index >= 1, and a ctl arrow "
+                     "into an initial state is C103"),
+    "T003": RuleMode("incremental", "cannot occur on a stream: a message "
+                     "whose source has not completed is a T009 at its "
+                     "record"),
+    "T004": RuleMode("incremental", _REJECTED + "a second message on one "
+                     "event (D3) at its record"),
+    "T005": RuleMode("incremental", _REJECTED + "an arrow naming a state "
+                     "that does not exist at its record"),
+    "T006": RuleMode("incremental", _REJECTED + "a message along one "
+                     "process at its record"),
     "T007": RuleMode("incremental",
-                     "FIFO inversions are monotone over the activated "
-                     "channel members; new pairs are output-sensitive"),
-    "T008": RuleMode("finalize",
-                     "needs recorded vector clocks (batch format only) "
-                     "and a structurally sound whole trace"),
-    "T009": RuleMode("incremental",
-                     "arrival-order check; fires at the offending record "
-                     "(and degrades order-dependent rules to finalize)"),
+                     "streams at the record that crosses: an accepted "
+                     "message enters its receiver's newest state after its "
+                     "send completed, so its inversions are the channel's "
+                     "messages sent after it"),
+    "T008": RuleMode("finalize", "cannot occur on a stream: it needs "
+                     "recorded vector clocks (batch documents only)"),
+    "T009": RuleMode("incremental", _REJECTED + "the out-of-order record"),
     "T010": RuleMode("finalize",
-                     "non-monotone: the timestamp channel is dropped "
-                     "entirely when any record omits 'time'"),
-    "T011": RuleMode("finalize",
-                     "a causality cycle cannot form in clean arrival "
-                     "order; the minimal-witness search is whole-trace"),
-    "C101": RuleMode("finalize",
-                     "interference is judged over the complete control "
-                     "relation and event graph"),
+                     "judged over the snapshot's timestamps: a later record "
+                     "without 'time' drops the timestamp channel"),
+    "T011": RuleMode("incremental", "cannot occur on a stream: a message "
+                     "cycle needs a receive before its send, a T009 at its "
+                     "record"),
+    "C101": RuleMode("incremental", _REJECTED + "a ctl record that "
+                     "interferes with the causality so far"),
     "C102": RuleMode("finalize", "transitive redundancy is whole-relation"),
-    "C103": RuleMode("finalize",
-                     "enforceability depends on final state counts (D2 "
-                     "generalised)"),
+    "C103": RuleMode("incremental", _REJECTED + "an unenforceable ctl "
+                     "record"),
     "C104": RuleMode("finalize",
                      "Lemma 2 overlap is judged over complete "
                      "false-intervals"),
-    "C105": RuleMode("finalize", "duplicate detection over the whole "
-                     "relation keeps batch attribution order"),
+    "C105": RuleMode("finalize", "duplicate detection over every declared "
+                     "ctl record keeps batch attribution order"),
     "C106": RuleMode("finalize", "needs predicate truth over final states"),
     "C107": RuleMode("finalize", "final states are only known at the end"),
     "P201": RuleMode("finalize", "predicate classification is per-trace"),
@@ -194,228 +150,20 @@ RULE_MODES: Dict[str, RuleMode] = {
     "R303": RuleMode("finalize", "concurrency is judged over final clocks"),
 }
 
-#: Sanitizer rules the streaming engine owns; the report() assembly
-#: filters these out of the finalize-time sanitize() to avoid
-#: double-counting.
-INCREMENTAL_SANITIZER_IDS = frozenset({"T002", "T004", "T006", "T007"})
-
-EventRef = Tuple[int, int]
-
-
-class _SanitizerEngine:
-    """T002/T004/T006/T007 over the arrival order, in O(delta) per record.
-
-    Activation model: an arrow participates in a rule only once the
-    prefix contains the states the batch rule would require --
-
-    * *endpoint* level (``counts[sp] >= si + 1``): both endpoints exist;
-      drives T006 (same-process), T002 (initial-state target) and the
-      T004 role table.
-    * *order* level (``counts[sp] >= si + 2`` plus ``di >= 1`` and not a
-      degenerate same-process arrow): the arrow is in
-      :func:`~repro.analysis.sanitizer.valid_arrows`; drives T007.
-
-    Arrows below a threshold wait in per-source-process min-heaps and
-    are popped as states arrive (each arrow is pushed/popped at most
-    twice: O(delta) amortized).  On a clean stream both levels are
-    reached at arrival for every cross-process arrow -- the heaps only
-    ever hold same-process arrows pointing at states not yet streamed,
-    which batch meanwhile reports as T005 (finalize-mode), so the
-    prefix identity is exact.
-    """
-
-    rule_ids = ("T002", "T004", "T006", "T007")
-
-    def __init__(self, account: "_Account") -> None:
-        self._account = account
-        self._counts: List[int] = []
-        self._seq = 0
-        #: event -> the arrow that claimed it first, in activation order
-        self._roles: Dict[EventRef, RawArrow] = {}
-        #: channel -> activated arrows sorted by source state index
-        self._channels: Dict[Tuple[int, int], List[RawArrow]] = {}
-        self._channel_keys: Dict[Tuple[int, int], List[int]] = {}
-        self._channel_max_dst: Dict[Tuple[int, int], int] = {}
-        #: per source process: heap of (threshold, seq, level, arrow)
-        self._pending: Dict[int, List[Tuple[int, int, str, RawArrow]]] = {}
-
-    def _ensure(self, n: int) -> None:
-        while len(self._counts) < n:
-            self._counts.append(0)
-
-    # -- IncrementalRule ------------------------------------------------------
-
-    def on_event(self, ref: Ref, raw: RawTrace) -> List[Finding]:
-        self._ensure(raw.n)
-        p = ref[0]
-        self._counts[p] = max(self._counts[p], ref[1] + 1)
-        self._account.add("events", 1)
-        out: List[Finding] = []
-        heap = self._pending.get(p)
-        while heap and heap[0][0] <= self._counts[p]:
-            _, _, level, arrow = heapq.heappop(heap)
-            self._account.add("heap_ops", 1)
-            self._advance(arrow, level, out, emit=True)
-        return out
-
-    def on_arrow(
-        self, arrow: RawArrow, kind: str, raw: RawTrace
-    ) -> List[Finding]:
-        self._ensure(raw.n)
-        self._account.add("arrows", 1)
-        if kind != "message":
-            # control arrows drive no incremental rule (T005/C103 are
-            # finalize-mode)
-            return []
-        out: List[Finding] = []
-        self._admit(arrow, out, emit=True)
-        return out
-
-    def on_epoch_reset(self) -> None:
-        # The linter marks itself dirty and stops feeding us; drop
-        # everything so a stale activation can never leak.
-        self._roles.clear()
-        self._channels.clear()
-        self._channel_keys.clear()
-        self._channel_max_dst.clear()
-        self._pending.clear()
-
-    def finalize(self, raw: RawTrace) -> List[Finding]:
-        return []  # everything this engine owns was emitted on arrival
-
-    # -- rebuild (restore path) ----------------------------------------------
-
-    def rebuild(self, raw: RawTrace) -> None:
-        """Reconstruct activation state from a restored mirror.
-
-        The engine's end-of-prefix state is a function of the prefix
-        content alone (not of the arrival interleaving), so replaying
-        ``raw.messages`` in list order with emission suppressed lands on
-        exactly the state the live run had at snapshot time.
-        """
-        self._counts = list(raw.state_counts)
-        sink: List[Finding] = []
-        for arrow in raw.messages:
-            self._admit(arrow, sink, emit=False)
-
-    # -- activation machinery -------------------------------------------------
-
-    def _admit(
-        self, arrow: RawArrow, out: List[Finding], emit: bool
-    ) -> None:
-        (sp, si), (dp, di) = arrow.src, arrow.dst
-        n = len(self._counts)
-        if not (0 <= sp < n and 0 <= dp < n) or si < 0 or di < 0:
-            return  # permanent T005 territory (finalize)
-        self._seq += 1
-        if self._counts[sp] >= si + 1:
-            self._advance(arrow, "endpoint", out, emit)
-        else:
-            heapq.heappush(
-                self._pending.setdefault(sp, []),
-                (si + 1, self._seq, "endpoint", arrow),
-            )
-            self._account.add("heap_ops", 1)
-
-    def _advance(
-        self, arrow: RawArrow, level: str, out: List[Finding], emit: bool
-    ) -> None:
-        (sp, si), (dp, di) = arrow.src, arrow.dst
-        if level == "endpoint":
-            self._endpoint_activate(arrow, out, emit)
-            # chain into the order level
-            if di < 1 or (sp == dp and si >= di):
-                return  # never in valid_arrows; T007 does not apply
-            if self._counts[sp] >= si + 2:
-                self._order_activate(arrow, out, emit)
-            else:
-                self._seq += 1
-                heapq.heappush(
-                    self._pending.setdefault(sp, []),
-                    (si + 2, self._seq, "order", arrow),
-                )
-                self._account.add("heap_ops", 1)
-        else:
-            self._order_activate(arrow, out, emit)
-
-    def _endpoint_activate(
-        self, arrow: RawArrow, out: List[Finding], emit: bool
-    ) -> None:
-        if arrow.dst[1] >= self._counts[arrow.dst[0]]:
-            return  # dst missing: cannot happen for streamed recvs
-        if emit:
-            # T003 is finalize-mode: the source may still complete.
-            out.extend(
-                axiom_finding(p, arrow)
-                for p in arrow_problems(MESSAGE, arrow.src, arrow.dst,
-                                        self._counts)
-                if p[0] != "T003"
-            )
-            out.extend(axiom_finding(p, arrow, prev)
-                       for p, prev in d3_problems(self._roles, arrow))
-        claim_events(self._roles, arrow)
-
-    def _order_activate(
-        self, arrow: RawArrow, out: List[Finding], emit: bool
-    ) -> None:
-        (sp, si), (dp, di) = arrow.src, arrow.dst
-        chan = (sp, dp)
-        members = self._channels.setdefault(chan, [])
-        keys = self._channel_keys.setdefault(chan, [])
-        max_dst = self._channel_max_dst.get(chan, -1)
-        if emit:
-            if di > max_dst:
-                # fast path: this delivery is the newest on the channel,
-                # so the inversions are exactly the members sent after it
-                # -- a suffix of the src-sorted list, each one a finding
-                # (output-sensitive work).
-                pos = bisect.bisect_right(keys, si)
-                for other in members[pos:]:
-                    self._account.add("channel_cmps", 1)
-                    if other.src[1] > si:  # strict: equal sends never pair
-                        out.append(t007_finding(sp, dp, arrow, other))
-            else:
-                # late activation (same-process pending arrows only):
-                # general scan, O(channel)
-                for other in members:
-                    self._account.add("channel_cmps", 1)
-                    if other.src[1] < si and other.dst[1] > di:
-                        out.append(t007_finding(sp, dp, other, arrow))
-                    elif other.src[1] > si and other.dst[1] < di:
-                        out.append(t007_finding(sp, dp, arrow, other))
-        pos = bisect.bisect_right(keys, si)
-        members.insert(pos, arrow)
-        keys.insert(pos, si)
-        self._channel_max_dst[chan] = max(max_dst, di)
-
-
-class _Account:
-    """Work accounting fanned out to the global registry and a local dict."""
-
-    def __init__(self, work: Dict[str, int]) -> None:
-        self.work = work
-
-    def add(self, key: str, units: int) -> None:
-        self.work[key] = self.work.get(key, 0) + units
-        counter = _GLOBALS.get(key)
-        if counter is not None:
-            counter.inc(units)
-
 
 class StreamingLinter:
     """Online lint over a ``repro-events/1`` record stream.
 
-    Feed it the same lines/records the ingestion layer consumes; each
-    feed returns the findings that record provably causes (parse
-    findings plus incremental-rule findings), and :meth:`report`
-    assembles, at any prefix, a report whose findings equal batch
-    :func:`~repro.analysis.runner.run_rules` over that prefix (as a
-    multiset; the streamed ones are grouped first).  ``finalize``-mode
-    rules run inside :meth:`report`/:meth:`finalize` only.
+    A session hands the linter its store (:meth:`attach`), applies each
+    record to it and then calls :meth:`feed_applied`; a linter with no
+    store applies records itself (:meth:`feed_record`,
+    :meth:`feed_line`).  Each record returns the findings it streams, and
+    :meth:`report` assembles, at any prefix, a report whose findings equal
+    batch :func:`~repro.analysis.runner.run_rules` over that prefix (as a
+    multiset; the streamed ones are grouped first).
 
     The linter survives the serving layer's durable checkpoints via
-    :meth:`snapshot`/:meth:`restore` (same contract as
-    :class:`~repro.detection.incremental.IncrementalDetector`).
+    :meth:`snapshot`/:meth:`restore`, next to the session's store.
     """
 
     def __init__(
@@ -423,23 +171,45 @@ class StreamingLinter:
         source: str = "<stream>",
         predicate: Optional[Predicate] = None,
     ) -> None:
-        self.parser = StreamParser(source=source)
+        self.source = source
         self.predicate = predicate
+        #: the trace being linted: a session's store, or the one this
+        #: linter opened from the header
+        self.store: Optional[TraceStore] = None
         #: per-linter work units (the global registry aggregates across
         #: concurrently-live linters; tests read this one)
         self.work: Dict[str, int] = {}
-        self._account = _Account(self.work)
-        self.engine = _SanitizerEngine(self._account)
-        self.parse_findings: List[Finding] = []
-        self.incremental_findings: List[Finding] = []
-        self.dirty = False
-        self.dirty_reason: Optional[str] = None
+        #: findings streamed so far: T007, or a rejected record's error
+        self.streamed: List[Finding] = []
+        #: the declared messages with their locations, in store order
+        self.messages: List[RawArrow] = []
+        #: every declared control arrow with its location, repeats included
+        self.control: List[RawArrow] = []
+        #: no event record so far lacked ``time`` (else T010 is not judged)
+        self.timed = True
+        #: a record was rejected: later records are ignored
+        self.rejected = False
         self.records = 0
-        self.epoch_resets = 0
+        self.lineno = 0
+        self._owns_store = False
+        #: channel -> (send indices, messages), sorted by send
+        self._channels: Dict[Tuple[int, int],
+                             Tuple[List[int], List[RawArrow]]] = {}
+        #: message locations of a restored state, until :meth:`attach`
+        self._unplaced: List[Optional[str]] = []
 
-    @property
-    def source(self) -> str:
-        return self.parser.source
+    def attach(self, store: TraceStore) -> None:
+        """Lint the trace ``store`` holds; its owner applies each record
+        and then calls :meth:`feed_applied`.  The message arrows and the
+        T007 channel state are rebuilt from the store's messages, with
+        the locations a :meth:`restore` brought."""
+        self.store = store
+        locations, self._unplaced = self._unplaced, []
+        self.messages, self._channels = [], {}
+        for k, m in enumerate(store.messages):
+            where = locations[k] if k < len(locations) else None
+            self._add_message(RawArrow(m.src, m.dst, location=where,
+                                       tag=m.tag), emit=False)
 
     # -- feeding --------------------------------------------------------------
 
@@ -447,112 +217,173 @@ class StreamingLinter:
         self, line: str, where: Optional[str] = None
     ) -> List[Finding]:
         """Lint one raw stream line; returns this record's findings."""
-        return self._after_feed(self.parser.feed_line(line, where))
+        if not line.strip():
+            self.lineno += 1
+            return []
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            where = self._where(where)
+            if self.rejected:
+                return self._count_record()
+            return self._reject(MalformedTraceError(
+                f"not valid JSON ({exc})", rule="T001"), where)
+        return self.feed_record(rec, where)
 
     def feed_record(
         self, rec: Any, where: Optional[str] = None
     ) -> List[Finding]:
-        """Lint one decoded record (``dict``); returns its findings."""
-        return self._after_feed(self.parser.feed_record(rec, where))
+        """Apply one decoded record to this linter's own store (the
+        header opens it), then lint it; returns its findings.  A record
+        the strict reader rejects is one finding, and later records are
+        ignored."""
+        where = self._where(where)
+        if self.rejected:
+            return self._count_record()
+        try:
+            if self.store is None:
+                self.attach(stream_store_from_header(rec, where))
+                self._owns_store = True
+                kind = "header"
+            else:
+                kind = apply_stream_record(self.store, rec, where)
+        except MalformedTraceError as exc:
+            return self._reject(exc, where)
+        return self.feed_applied(rec, kind, where)
 
-    def _after_feed(self, parse_findings: List[Finding]) -> List[Finding]:
+    def feed_applied(
+        self, rec: Dict[str, Any], kind: str, where: str
+    ) -> List[Finding]:
+        """Lint one record the store already applied: ``kind`` is what
+        :func:`~repro.trace.io.apply_stream_record` returned (``"header"``
+        for the header).  Returns the findings it streams."""
+        self._count_record()
+        found: List[Finding] = []
+        if kind == "ev" or kind == "recv":
+            self._count("events", 1)
+            if rec.get("time") is None:
+                self.timed = False
+            if kind == "recv":
+                proc = rec["p"]
+                dst = (proc, self.store.state_counts[proc] - 1)
+                found = self._add_message(
+                    RawArrow(tuple(rec["src"]), dst, location=where,
+                             tag=rec.get("tag")), emit=True)
+        elif kind == "ctl":
+            self._count("arrows", 1)
+            self.control.append(RawArrow(tuple(rec["src"]),
+                                         tuple(rec["dst"]), location=where))
+        elif kind == "header":
+            self._count("events", self.store.n)
+        if found:
+            self.streamed.extend(found)
+            self._count("findings", len(found))
+        return found
+
+    def _count(self, key: str, units: int) -> None:
+        """Work accounting, on :attr:`work` and the global registry."""
+        self.work[key] = self.work.get(key, 0) + units
+        _GLOBALS[key].inc(units)
+
+    def _where(self, where: Optional[str]) -> str:
+        self.lineno += 1
+        return f"{self.source}:{self.lineno}" if where is None else where
+
+    def _count_record(self) -> List[Finding]:
+        """Count one record; the findings of one that adds none."""
         self.records += 1
-        self._account.add("records", 1)
-        self.parse_findings.extend(parse_findings)
-        emitted = list(parse_findings)
-        if any(f.rule_id == "T009" for f in parse_findings):
-            self._mark_dirty("arrival-order violation (T009)")
-        if self.dirty or self.parser.raw is None:
-            self._account.add("findings", len(emitted))
-            return emitted
-        raw = self.parser.raw
-        new: List[Finding] = []
-        for ref in self.parser.delta_states:
-            new.extend(self.engine.on_event(ref, raw))
-        for a in self.parser.delta_messages:
-            new.extend(self.engine.on_arrow(a, "message", raw))
-        for a in self.parser.delta_control:
-            new.extend(self.engine.on_arrow(a, "control", raw))
-        self.incremental_findings.extend(new)
-        emitted.extend(new)
-        self._account.add("findings", len(emitted))
-        return emitted
+        self._count("records", 1)
+        return []
 
-    def on_epoch_reset(self) -> None:
-        """The underlying store rewrote causality (arrow insert): the
-        arrival-order bookkeeping is stale, so the order-dependent rules
-        degrade to finalize for the rest of this stream."""
-        self.epoch_resets += 1
-        self.engine.on_epoch_reset()
-        self._mark_dirty("epoch reset")
+    def _reject(self, exc: MalformedTraceError, where: str) -> List[Finding]:
+        """The strict error as a finding, with lint's rule and text.  An
+        interfering ctl record is the one rejection without a rule: the
+        store's cycle check, lint's C101."""
+        location = exc.location or where
+        text = str(exc)
+        if text.startswith(f"{location}: "):
+            text = text[len(location) + 2:]
+        rule = exc.rule or (
+            "C101" if isinstance(exc.__cause__, CycleError) else "T001")
+        self.rejected = True
+        self._count_record()
+        found = [Finding(rule, text, location=location, states=exc.states,
+                         arrows=exc.arrows)]
+        self.streamed.extend(found)
+        self._count("findings", 1)
+        return found
 
-    def _mark_dirty(self, reason: str) -> None:
-        if not self.dirty:
-            self.dirty = True
-            self.dirty_reason = reason
+    def _add_message(self, arrow: RawArrow, emit: bool) -> List[Finding]:
+        """File one message under its channel; with ``emit``, its T007
+        inversions: the channel's messages sent after it (it is the
+        newest delivery, so each one was delivered before it)."""
+        (sp, si), (dp, _) = arrow.src, arrow.dst
+        keys, members = self._channels.setdefault((sp, dp), ([], []))
+        pos = bisect.bisect_right(keys, si)
+        found: List[Finding] = []
+        if emit:
+            self._count("arrows", 1)
+            later = members[pos:]
+            self._count("channel_cmps", len(later))
+            found = [t007_finding(sp, dp, arrow, other) for other in later]
+        keys.insert(pos, si)
+        members.insert(pos, arrow)
+        self.messages.append(arrow)
+        return found
 
     # -- results --------------------------------------------------------------
 
     def findings(self) -> List[Finding]:
-        """Everything streamed so far (parse + incremental rules); the
-        finalize-mode rules are *not* in here -- ask :meth:`report`."""
-        return list(self.parse_findings) + list(self.incremental_findings)
+        """Everything streamed so far; the rules :meth:`report` runs are
+        *not* in here."""
+        return list(self.streamed)
 
     def report(self) -> Report:
-        """A full report over the current prefix.
+        """A full report over the current prefix: the streamed findings,
+        then T010 and the deep passes over ``store.snapshot()``.
 
-        Findings equal batch :func:`~repro.analysis.runner.run_rules`
-        over the same prefix as a multiset: when clean, the streamed
-        incremental findings are used as-is and only the finalize-mode
-        rules are computed here; when dirty, the whole sanitizer reruns
-        batch-style (correctness over latency).
-        """
-        raw = self.parser.raw
-        parse_findings = list(self.parse_findings)
-        if raw is None and not self.parser.dead:
-            parse_findings.append(
-                Finding("T001", "empty stream (no header)",
-                        location=self.parser.source)
-            )
-        report = Report(source=self.parser.source, format=STREAM_FORMAT)
+        Before a header there is nothing to lint (T001, empty stream);
+        after a rejected record the trace is not one the deep passes
+        accept, so they are skipped."""
+        report = Report(source=self.source, format=STREAM_FORMAT)
         report.passes.append("parse")
-        report.extend(parse_findings)
-        if raw is None:
+        report.extend(self.streamed)
+        if self.store is None:
+            if not self.rejected:
+                report.add(Finding("T001", "empty stream (no header)",
+                                   location=self.source))
             report.skipped.extend(("sanitizer",) + DEEP_PASSES)
             return report
         report.passes.append("sanitizer")
-        if self.dirty:
-            report.extend(sanitize(raw))
-        else:
-            report.extend(self.incremental_findings)
-            report.extend(
-                f for f in sanitize(raw)
-                if f.rule_id not in INCREMENTAL_SANITIZER_IDS
-            )
-        return run_deep_passes(raw, report, predicate=self.predicate)
-
-    def finalize(self) -> Report:
-        """End-of-stream report (alias of :meth:`report`; named for
-        symmetry with the detection pipeline)."""
-        return self.report()
+        if self.rejected:
+            report.skipped.extend(DEEP_PASSES)
+            return report
+        dep = self.store.snapshot()
+        if self.timed and dep.timestamps is not None:
+            report.extend(t010_findings(dep.timestamps, self.messages))
+        return run_deep_passes(dep.without_control(), self.control, report,
+                               predicate=self.predicate)
 
     # -- durable state capture ------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-serializable linter state; pair with the session's store
-        checkpoint exactly like the detector's snapshot."""
-        return {
+        """JSON-serializable linter state: the streamed findings and the
+        arrow locations, no states.  A session checkpoints its store next
+        to it; a linter that opened its own store carries it here."""
+        state: Dict[str, Any] = {
             "format": LINT_STATE_FORMAT,
-            "parser": self.parser.snapshot(),
-            "parse_findings": [f.to_dict() for f in self.parse_findings],
-            "incremental_findings": [
-                f.to_dict() for f in self.incremental_findings
-            ],
-            "dirty": self.dirty,
-            "dirty_reason": self.dirty_reason,
-            "records": self.records,
-            "epoch_resets": self.epoch_resets,
+            "source": self.source,
+            "findings": [f.to_dict() for f in self.streamed],
+            "messages": [a.location for a in self.messages],
+            "control": [[list(a.src), list(a.dst), a.location]
+                        for a in self.control],
+            "timed": self.timed,
+            "rejected": self.rejected,
+            "lineno": self.lineno,
         }
+        if self._owns_store:
+            state["store"] = self.store.freeze()
+        return state
 
     @classmethod
     def restore(
@@ -560,27 +391,58 @@ class StreamingLinter:
         state: Dict[str, Any],
         predicate: Optional[Predicate] = None,
     ) -> "StreamingLinter":
-        """Rebuild a linter mid-stream from a :meth:`snapshot`; feeding
-        the remaining records produces exactly the findings the original
-        would have (pinned by tests/serve/test_serve_lint.py)."""
-        if state.get("format") != LINT_STATE_FORMAT:
+        """Rebuild a linter mid-stream from a :meth:`snapshot`.  The
+        channel state comes back when the store does: at once when the
+        state carries the linter's own store, else on :meth:`attach`.
+        Feeding the remaining records then produces exactly the findings
+        the original would have (pinned by tests/serve/test_serve_lint.py).
+
+        A ``repro-lint-state/1`` state (a lenient mirror of the trace)
+        gives its findings and the locations in its ``parser.raw``
+        block; its states are not read."""
+        fmt = state.get("format")
+        if fmt == _LINT_STATE_V1:
+            return cls._restore_v1(state, predicate)
+        if fmt != LINT_STATE_FORMAT:
             raise ValueError(
-                f"unknown lint state format {state.get('format')!r}; "
+                f"unknown lint state format {fmt!r}; "
                 f"expected {LINT_STATE_FORMAT!r}"
             )
-        linter = cls(predicate=predicate)
-        linter.parser = StreamParser.restore(state["parser"])
-        linter.parse_findings = [
-            Finding.from_dict(d) for d in state.get("parse_findings", ())
-        ]
-        linter.incremental_findings = [
+        linter = cls(source=str(state.get("source", "<stream>")),
+                     predicate=predicate)
+        linter.streamed = [Finding.from_dict(d) for d in state["findings"]]
+        linter._unplaced = list(state["messages"])
+        linter.control = [RawArrow(tuple(s), tuple(d), location=where)
+                          for s, d, where in state["control"]]
+        linter.timed = bool(state["timed"])
+        linter.rejected = bool(state["rejected"])
+        linter.lineno = int(state.get("lineno", 0))
+        if "store" in state:
+            linter.attach(TraceStore.restore(state["store"]))
+            linter._owns_store = True
+        return linter
+
+    @classmethod
+    def _restore_v1(
+        cls, state: Dict[str, Any], predicate: Optional[Predicate]
+    ) -> "StreamingLinter":
+        parser = state["parser"]
+        linter = cls(source=str(parser.get("source", "<stream>")),
+                     predicate=predicate)
+        linter.streamed = [
             Finding.from_dict(d)
-            for d in state.get("incremental_findings", ())
+            for key in ("parse_findings", "incremental_findings")
+            for d in state.get(key, ())
         ]
-        linter.dirty = bool(state.get("dirty", False))
-        linter.dirty_reason = state.get("dirty_reason")
-        linter.records = int(state.get("records", 0))
-        linter.epoch_resets = int(state.get("epoch_resets", 0))
-        if not linter.dirty and linter.parser.raw is not None:
-            linter.engine.rebuild(linter.parser.raw)
+        linter.lineno = int(parser.get("lineno", 0))
+        raw = parser.get("raw")
+        if raw is not None:
+            linter._unplaced = [m.get("location") for m in raw["messages"]]
+            linter.control = [
+                RawArrow(tuple(c["src"]), tuple(c["dst"]),
+                         location=c.get("location"))
+                for c in raw["control"]
+            ]
+            # The mirror dropped its timestamps when a record had no time.
+            linter.timed = raw.get("timestamps") is not None
         return linter

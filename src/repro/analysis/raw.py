@@ -23,6 +23,12 @@ The analysis passes then check the deposet axioms over the raw trace,
 with the judge the deposet constructor uses; a real (validated)
 :class:`~repro.trace.deposet.Deposet` is constructed only once the
 sanitizer reports no errors, gating the deep passes.
+
+This lenient route serves untrusted files only (``repro lint FILE``).  A
+trace the strict readers accepted is linted from that trace itself
+(:func:`~repro.analysis.runner.lint_deposet`,
+:class:`~repro.analysis.incremental.StreamingLinter`); of this module
+those share only :class:`RawArrow`, an arrow with where it was declared.
 """
 
 from __future__ import annotations
@@ -175,20 +181,13 @@ class StreamParser:
 
     The single source of truth for the stream-side lenient-parse
     semantics: :func:`parse_stream` drains a file through one instance,
-    and the online linter (:mod:`repro.analysis.incremental`) keeps one
-    as its *mirror* -- feeding the same records produces, by
-    construction, exactly the :class:`RawTrace` and parse findings a
-    batch re-parse of the prefix would.
+    one line at a time.
 
     Where :func:`repro.trace.ingest_event_stream` raises, it reports: a
     decoder problem is a T001, an arrow whose source event has not
     completed when its target record arrives (the causal delivery order
     :class:`~repro.store.index.CausalIndex` enforces) is a T009.  Every
     witness carries ``source:lineno``.
-
-    After each :meth:`feed_line`/:meth:`feed_record` call the
-    ``delta_*`` attributes name the states and arrows that call
-    appended, so an incremental consumer can react in O(delta).
     """
 
     def __init__(self, source: str = "<stream>") -> None:
@@ -199,25 +198,13 @@ class StreamParser:
         #: a header was seen but unusable; the batch parser stops there
         self.dead = False
         self.lineno = 0
-        #: ``(proc, index)`` states appended by the last feed call
-        self.delta_states: List[Ref] = []
-        #: message arrows appended by the last feed call
-        self.delta_messages: List[RawArrow] = []
-        #: control arrows appended by the last feed call
-        self.delta_control: List[RawArrow] = []
-
-    def _begin(self, where: Optional[str]) -> str:
-        self.lineno += 1
-        self.delta_states = []
-        self.delta_messages = []
-        self.delta_control = []
-        return f"{self.source}:{self.lineno}" if where is None else where
 
     def feed_line(
         self, line: str, where: Optional[str] = None
     ) -> List[Finding]:
         """Parse one raw stream line; returns the findings it produced."""
-        where = self._begin(where)
+        self.lineno += 1
+        where = f"{self.source}:{self.lineno}" if where is None else where
         line = line.strip()
         if self.dead or not line:
             return []
@@ -226,14 +213,6 @@ class StreamParser:
         except json.JSONDecodeError as exc:
             return self._emit(_t001(where, f"not valid JSON ({exc})"))
         return self._feed(rec, where)
-
-    def feed_record(
-        self, rec: Any, where: Optional[str] = None
-    ) -> List[Finding]:
-        """Parse one already-decoded record (``dict``); same contract as
-        :meth:`feed_line` minus the JSON decode."""
-        where = self._begin(where)
-        return [] if self.dead else self._feed(rec, where)
 
     def _emit(self, *found: Finding) -> List[Finding]:
         self.findings.extend(found)
@@ -253,7 +232,6 @@ class StreamParser:
                 self.vars_now[proc] = {**self.vars_now[proc], **fields["updates"]}
             raw.states[proc].append(dict(self.vars_now[proc]))
             new_index = len(raw.states[proc]) - 1
-            self.delta_states.append((proc, new_index))
             if raw.timestamps is not None:
                 t = fields["time"]
                 if t is not None:
@@ -267,12 +245,10 @@ class StreamParser:
                     tag=fields["tag"], payload=fields["payload"],
                 )
                 raw.messages.append(arrow)
-                self.delta_messages.append(arrow)
                 _check_delivery_order(raw, arrow, MESSAGE, where, out)
         elif kind == "ctl":
             arrow = RawArrow(fields["src"], fields["dst"], location=where)
             raw.control.append(arrow)
-            self.delta_control.append(arrow)
             _check_delivery_order(raw, arrow, CONTROL, where, out)
         elif kind == "obs":
             raw.obs = fields["obs"]
@@ -295,7 +271,6 @@ class StreamParser:
         if header.start_times is not None:
             raw.timestamps = [[float(t)] for t in header.start_times]
         self.raw = raw
-        self.delta_states = [(i, 0) for i in range(raw.n)]
         return self._emit(*out)
 
     def finish(self) -> Tuple[Optional[RawTrace], List[Finding]]:
@@ -305,71 +280,6 @@ class StreamParser:
             self.findings.append(_t001(self.source, "empty stream (no header)"))
             self.dead = True  # idempotent finish
         return self.raw, self.findings
-
-    # -- state capture (the serve layer checkpoints its mirror) --------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-serializable parser state (findings are *not* included --
-        they are owned by whoever accumulated them)."""
-        raw_blob: Optional[Dict[str, Any]] = None
-        if self.raw is not None:
-            raw = self.raw
-            raw_blob = {
-                "source": raw.source,
-                "format": raw.format,
-                "proc_names": list(raw.proc_names),
-                "states": raw.states,
-                "messages": [
-                    {"src": list(m.src), "dst": list(m.dst),
-                     "location": m.location, "tag": m.tag,
-                     "payload": m.payload}
-                    for m in raw.messages
-                ],
-                "control": [
-                    {"src": list(c.src), "dst": list(c.dst),
-                     "location": c.location}
-                    for c in raw.control
-                ],
-                "timestamps": raw.timestamps,
-                "obs": raw.obs,
-            }
-        return {
-            "source": self.source,
-            "raw": raw_blob,
-            "vars_now": self.vars_now,
-            "dead": self.dead,
-            "lineno": self.lineno,
-        }
-
-    @classmethod
-    def restore(cls, snap: Dict[str, Any]) -> "StreamParser":
-        parser = cls(source=str(snap.get("source", "<stream>")))
-        parser.dead = bool(snap.get("dead", False))
-        parser.lineno = int(snap.get("lineno", 0))
-        parser.vars_now = [dict(v) for v in snap.get("vars_now", ())]
-        blob = snap.get("raw")
-        if blob is not None:
-            raw = RawTrace(
-                source=str(blob["source"]),
-                format=str(blob["format"]),
-                proc_names=[str(x) for x in blob.get("proc_names", ())],
-                states=[[dict(v) for v in row] for row in blob["states"]],
-                timestamps=blob.get("timestamps"),
-                obs=blob.get("obs"),
-            )
-            for m in blob.get("messages", ()):
-                raw.messages.append(RawArrow(
-                    (m["src"][0], m["src"][1]), (m["dst"][0], m["dst"][1]),
-                    location=m.get("location"), tag=m.get("tag"),
-                    payload=m.get("payload"),
-                ))
-            for c in blob.get("control", ()):
-                raw.control.append(RawArrow(
-                    (c["src"][0], c["src"][1]), (c["dst"][0], c["dst"][1]),
-                    location=c.get("location"),
-                ))
-            parser.raw = raw
-        return parser
 
 
 def parse_stream(

@@ -1,4 +1,4 @@
-"""Lint orchestration: parse leniently, run the passes, build the report.
+"""Lint orchestration: parse, run the passes, build the report.
 
 Pass order and gating:
 
@@ -15,16 +15,24 @@ Pass order and gating:
 4. **control** -- C101..C107 (C104/C106/C107 only with a predicate).
 5. **classifier** -- P201..P203, only with a predicate.
 6. **races** -- R301..R303.
+
+That lenient route is for untrusted files (``repro lint FILE``).  A trace
+the strict readers already accepted -- an in-memory :class:`Deposet`
+(:func:`lint_deposet`, the replay gate) or a stream a session applied
+(:class:`~repro.analysis.incremental.StreamingLinter`) -- is linted
+straight from that trace: T001--T006, T008, T009, T011, C101 and C103
+cannot occur on it, so only T007 and T010 are checked before
+:func:`run_deep_passes`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.analysis.findings import Finding, Report
-from repro.analysis.raw import RawTrace, load_raw, parse_batch
-from repro.analysis.sanitizer import sanitize
+from repro.analysis.raw import RawArrow, RawTrace, load_raw
+from repro.analysis.sanitizer import sanitize, t007_findings, t010_findings
 from repro.errors import ReproError
 from repro.predicates.base import Predicate
 from repro.trace.deposet import Deposet
@@ -53,28 +61,29 @@ def lint_raw(
     report.passes.append("sanitizer")
     report.extend(sanitize(raw))
 
-    return run_deep_passes(raw, report, predicate=predicate)
-
-
-def run_deep_passes(
-    raw: RawTrace,
-    report: Report,
-    predicate: Optional[Predicate] = None,
-) -> Report:
-    """The deep passes (control / classifier / races) over ``raw``, into
-    ``report`` -- including the validated-deposet gate.  Shared between
-    the batch pipeline above and the streaming linter's finalize
-    (:mod:`repro.analysis.incremental`): these passes are whole-trace by
-    nature, so both pipelines run the identical code."""
     dep = _underlying_deposet(raw, report)
     if dep is None:
         report.skipped.extend(DEEP_PASSES)
         return report
+    return run_deep_passes(dep, raw.control, report, predicate=predicate)
 
+
+def run_deep_passes(
+    dep: Deposet,
+    control: Sequence[RawArrow],
+    report: Report,
+    predicate: Optional[Predicate] = None,
+) -> Report:
+    """The deep passes (control / classifier / races), into ``report``.
+
+    ``dep`` is the validated *underlying* computation (no control
+    relation); ``control`` is the declared control relation, each arrow
+    with its location.  Lenient file lint, :func:`lint_deposet` and the
+    streaming linter's report all end here."""
     from repro.analysis.control import analyze_control
 
     report.passes.append("control")
-    report.extend(analyze_control(raw, dep, predicate=predicate))
+    report.extend(analyze_control(dep, control, predicate=predicate))
 
     if predicate is not None:
         from repro.analysis.classifier import analyze_predicate
@@ -162,14 +171,24 @@ def lint_deposet(
     dep: Deposet,
     predicate: Optional[Predicate] = None,
     source: str = "<deposet>",
-    obs: Optional[Dict[str, Any]] = None,
 ) -> Report:
-    """Lint an in-memory deposet (round-trips through the batch schema so
-    every pass sees the same shape a file would produce)."""
-    from repro.trace.io import FORMAT, deposet_to_dict
+    """Lint an in-memory deposet, straight from the deposet.
 
-    raw, findings = parse_batch(deposet_to_dict(dep, obs=obs), source=source)
+    The constructor already enforced everything the parse pass and most
+    of the sanitizer check, so this runs T007, T010 and the deep passes
+    over ``dep.without_control()`` and ``dep``'s control relation.
+    Locations are the JSON paths a file of ``dep`` would give
+    (``messages[k]``, ``control[k]``), and ``passes`` are a file's."""
+    from repro.trace.io import FORMAT
+
     report = Report(source=source, format=FORMAT)
-    report.passes.append("parse")
-    report.extend(findings)
-    return lint_raw(raw, report, predicate=predicate)
+    report.passes.extend(("parse", "sanitizer"))
+    messages = [RawArrow(m.src, m.dst, location=f"messages[{k}]", tag=m.tag)
+                for k, m in enumerate(dep.messages)]
+    report.extend(t007_findings(messages))
+    if dep.timestamps is not None:
+        report.extend(t010_findings(dep.timestamps, messages))
+    control = [RawArrow(a, b, location=f"control[{k}]")
+               for k, (a, b) in enumerate(dep.control_arrows)]
+    return run_deep_passes(dep.without_control(), control, report,
+                           predicate=predicate)

@@ -33,6 +33,8 @@ __all__ = [
     "valid_arrows",
     "axiom_finding",
     "t007_finding",
+    "t007_findings",
+    "t010_findings",
 ]
 
 Ref = Tuple[int, int]
@@ -196,6 +198,63 @@ def t007_finding(
     )
 
 
+def t007_findings(arrows: Sequence[RawArrow]) -> List[Finding]:
+    """T007 over well-formed message ``arrows``: FIFO inversions, per
+    directed channel (channels in order of first use, pairs in send
+    order)."""
+    findings: List[Finding] = []
+    by_channel: Dict[Tuple[int, int], List[RawArrow]] = {}
+    for a in arrows:
+        by_channel.setdefault((a.src[0], a.dst[0]), []).append(a)
+    for (sp, dp), msgs in by_channel.items():
+        msgs.sort(key=lambda a: a.src[1])
+        for i in range(len(msgs)):
+            for j in range(i + 1, len(msgs)):
+                first, second = msgs[i], msgs[j]
+                if (
+                    first.src[1] < second.src[1]
+                    and first.dst[1] > second.dst[1]
+                ):
+                    findings.append(t007_finding(sp, dp, first, second))
+    return findings
+
+
+def t010_findings(
+    ts: Sequence[Sequence[float]], arrows: Sequence[RawArrow]
+) -> List[Finding]:
+    """T010 over per-state timestamps ``ts`` and well-formed message
+    ``arrows``: times that run backwards along a process, then messages
+    received before they were sent (warnings; wall clocks are
+    advisory)."""
+    findings: List[Finding] = []
+    for i, row in enumerate(ts):
+        for a in range(1, len(row)):
+            if row[a] < row[a - 1]:
+                findings.append(
+                    Finding(
+                        "T010",
+                        f"process {i} time runs backwards: state "
+                        f"({i},{a}) at {row[a]} after ({i},{a - 1}) "
+                        f"at {row[a - 1]}",
+                        states=((i, a - 1), (i, a)),
+                    )
+                )
+    for a in arrows:
+        (sp, si), (dp, di) = a.src, a.dst
+        if ts[dp][di] < ts[sp][si]:
+            findings.append(
+                Finding(
+                    "T010",
+                    f"message {arrow_str(a)} is received at "
+                    f"{ts[dp][di]}, before it was sent at {ts[sp][si]}",
+                    location=a.location,
+                    states=(a.src, a.dst),
+                    arrows=(a.pair,),
+                )
+            )
+    return findings
+
+
 # -- the pass ----------------------------------------------------------------
 
 
@@ -235,51 +294,10 @@ def sanitize(raw: RawTrace) -> List[Finding]:
             )
         )
 
-    # T007: FIFO inversions, per directed channel.
-    by_channel: Dict[Tuple[int, int], List[RawArrow]] = {}
-    for k in ok_msgs:
-        a = raw.messages[k]
-        by_channel.setdefault((a.src[0], a.dst[0]), []).append(a)
-    for (sp, dp), msgs in by_channel.items():
-        msgs.sort(key=lambda a: a.src[1])
-        for i in range(len(msgs)):
-            for j in range(i + 1, len(msgs)):
-                first, second = msgs[i], msgs[j]
-                if (
-                    first.src[1] < second.src[1]
-                    and first.dst[1] > second.dst[1]
-                ):
-                    findings.append(t007_finding(sp, dp, first, second))
-
-    # T010: timestamp regressions (warnings; wall clocks are advisory).
+    ok = [raw.messages[k] for k in ok_msgs]
+    findings.extend(t007_findings(ok))
     if raw.timestamps is not None:
-        ts = raw.timestamps
-        for i, row in enumerate(ts):
-            for a in range(1, len(row)):
-                if row[a] < row[a - 1]:
-                    findings.append(
-                        Finding(
-                            "T010",
-                            f"process {i} time runs backwards: state "
-                            f"({i},{a}) at {row[a]} after ({i},{a - 1}) "
-                            f"at {row[a - 1]}",
-                            states=((i, a - 1), (i, a)),
-                        )
-                    )
-        for k in ok_msgs:
-            a = raw.messages[k]
-            (sp, si), (dp, di) = a.src, a.dst
-            if ts[dp][di] < ts[sp][si]:
-                findings.append(
-                    Finding(
-                        "T010",
-                        f"message {arrow_str(a)} is received at "
-                        f"{ts[dp][di]}, before it was sent at {ts[sp][si]}",
-                        location=a.location,
-                        states=(a.src, a.dst),
-                        arrows=(a.pair,),
-                    )
-                )
+        findings.extend(t010_findings(raw.timestamps, ok))
 
     # T008: recorded vector clocks vs clocks recomputed from the arrows.
     # Only when every arrow is structurally sound: a dropped arrow changes

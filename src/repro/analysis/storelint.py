@@ -76,7 +76,7 @@ def lint_store(
 
         predicate = parse_predicate(predicate, dep.n)
     source = f"{target}@{branch_name}"
-    report = lint_deposet(dep, predicate=predicate, source=source, obs=obs)
+    report = lint_deposet(dep, predicate=predicate, source=source)
     anchor = f"{branch_name}@c{commit}"
     for f in report.findings:
         f.location = anchor if f.location is None else f"{anchor}/{f.location}"

@@ -34,14 +34,16 @@ CONTROL = "control arrow"
 
 
 def axiom_error(
-    problem: Problem, location: Optional[str] = None
+    problem: Problem, location: Optional[str] = None,
+    arrows: Tuple[Tuple[Ref, Ref], ...] = (),
 ) -> MalformedTraceError:
     """The strict readers' error for ``problem``: its rule and text,
-    prefixed with ``location`` when one is known."""
-    rule, text, _states = problem
+    prefixed with ``location`` when one is known, and lint's witness --
+    the problem's states and the judged ``arrows``."""
+    rule, text, states = problem
     return MalformedTraceError(
         text if location is None else f"{location}: {text}",
-        rule=rule, location=location,
+        rule=rule, location=location, states=states, arrows=arrows,
     )
 
 

@@ -554,12 +554,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             print(f"  record {lineno}: violation possible at "
                   f"consistent global state {tuple(ev['cut'])}")
         elif kind == "lint":
-            line = (f"[lint] {ev['findings']} finding(s), "
-                    f"{ev['errors']} error(s), "
-                    f"{ev['warnings']} warning(s)")
-            if ev["dirty"]:
-                line += f" (recomputed at EOF: {ev['dirty_reason']})"
-            print(line)
+            print(f"[lint] {ev['findings']} finding(s), "
+                  f"{ev['errors']} error(s), "
+                  f"{ev['warnings']} warning(s)")
 
     with METRICS.scoped() as scope:
         sess = _stream_session(

@@ -20,7 +20,7 @@ Every error raised on purpose by :mod:`repro` derives from
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 __all__ = [
     "ReproError",
@@ -58,14 +58,18 @@ class MalformedTraceError(ReproError):
     ``rule`` is the ``repro lint`` rule reporting the same problem with
     the same text (or ``None``); ``location`` is where lint reports it --
     ``messages[3]`` in a document, ``file:line`` in a stream -- and
-    prefixes the message (``None`` when unknown).
+    prefixes the message (``None`` when unknown).  ``states`` and
+    ``arrows`` are lint's witness, when a stream reader judged one record.
     """
 
     def __init__(self, message: str = "", *, rule: Optional[str] = None,
-                 location: Optional[str] = None):
+                 location: Optional[str] = None,
+                 states: Tuple[Any, ...] = (), arrows: Tuple[Any, ...] = ()):
         super().__init__(message)
         self.rule = rule
         self.location = location
+        self.states = states
+        self.arrows = arrows
 
 
 class TruncatedStreamError(MalformedTraceError):

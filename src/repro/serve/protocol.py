@@ -188,18 +188,16 @@ def event_lint_summary(
     findings: int,
     errors: int,
     warnings: int,
-    dirty: bool,
-    dirty_reason: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """End-of-stream lint roll-up for a ``--lint`` session."""
+    """End-of-stream lint roll-up for a ``--lint`` session.  ``dirty`` is
+    always ``false``: it is kept only so ``repro-findings/1`` events keep
+    their schema."""
     ev = _base("lint", tenant, session, seq)
     ev["format"] = FINDINGS_FORMAT
     ev["findings"] = findings
     ev["errors"] = errors
     ev["warnings"] = warnings
-    ev["dirty"] = dirty
-    if dirty_reason is not None:
-        ev["dirty_reason"] = dirty_reason
+    ev["dirty"] = False
     return ev
 
 
@@ -276,13 +274,10 @@ def describe_event(event: Dict[str, Any]) -> str:
         return (f"[{who}] record {seq}: lint {event.get('rule')} "
                 f"[{event.get('severity')}]{where}: {f.get('message')}")
     if kind == "lint":
-        base = (f"[{who}] lint after {seq} record(s): "
+        return (f"[{who}] lint after {seq} record(s): "
                 f"{event.get('findings')} finding(s), "
                 f"{event.get('errors')} error(s), "
                 f"{event.get('warnings')} warning(s)")
-        if event.get("dirty"):
-            base += f" (DEGRADED: {event.get('dirty_reason')})"
-        return base
     if kind == "closed":
         return f"[{who}] closed"
     return f"[{who}] {kind}: {dumps_event(event)}"

@@ -94,9 +94,10 @@ class DetectionSession:
         deliberately slow detector without a heavyweight workload).
     lint:
         Attach a :class:`~repro.analysis.incremental.StreamingLinter` to
-        the stream: every record is linted as it arrives and findings
-        are pushed as ``repro-findings/1`` events interleaved with the
-        verdicts (plus a ``lint`` summary at finalize).  Like verdicts,
+        the session's store: every applied record is linted as it
+        arrives (no second copy of the trace) and findings are pushed
+        as ``repro-findings/1`` events interleaved with the verdicts
+        (plus a ``lint`` summary at finalize).  Like verdicts,
         finding events are a pure function of the input stream, so they
         stay byte-identical across worker counts and survive durable
         snapshot/restore.
@@ -150,16 +151,12 @@ class DetectionSession:
         #: this log being a pure function of the input stream)
         self.events_log: List[Dict[str, Any]] = []
         self.linter = None
-        self._header_findings: List[Dict[str, Any]] = []
         if lint:
             from repro.analysis.incremental import StreamingLinter
 
             self.linter = StreamingLinter(source=self.label,
                                           predicate=self.pred)
-            self._header_findings = [
-                f.to_dict()
-                for f in self.linter.feed_record(header, where)
-            ]
+            self.linter.attach(self.store)
 
     def _record(self, events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         self.events_log.extend(events)
@@ -169,14 +166,9 @@ class DetectionSession:
         return self.open_events()[0]
 
     def open_events(self) -> List[Dict[str, Any]]:
-        """The session-accepted event, plus any findings the online
-        linter raised against the header itself."""
-        events = [event_open(self.tenant, self.session, self.store.n,
-                             self.predicate_spec)]
-        for payload in self._header_findings:
-            events.append(event_finding(self.tenant, self.session, 0,
-                                        payload))
-        return self._record(events)
+        """The session-accepted event (a list, like every feed)."""
+        return self._record([event_open(self.tenant, self.session,
+                                        self.store.n, self.predicate_spec)])
 
     # -- feeding -------------------------------------------------------------
 
@@ -208,9 +200,9 @@ class DetectionSession:
             return self._record([self._fail("malformed", str(exc), where,
                                             exc.rule)])
         if kind == "obs":
-            # obs records do not advance seq, but the linter must see
-            # them (inline suppressions ride in obs blocks).
-            return self._record(self._lint_feed(rec, where))
+            # obs records do not advance seq; the store keeps the block
+            # (inline suppressions ride in it).
+            return self._record(self._lint_feed(rec, kind, where))
         self.seq += 1
         if self.delay_per_record:
             time.sleep(self.delay_per_record)
@@ -222,18 +214,18 @@ class DetectionSession:
                 f"applied prefix only",
                 where,
             )])
-        events = self._lint_feed(rec, where)
+        events = self._lint_feed(rec, kind, where)
         events.extend(self.tracker.observe(self.seq, self.detector.poll()))
         return self._record(events)
 
-    def _lint_feed(self, rec: Dict[str, Any],
+    def _lint_feed(self, rec: Dict[str, Any], kind: str,
                    where: str) -> List[Dict[str, Any]]:
-        """Feed one record to the online linter; finding events out."""
+        """Lint one record the store just applied; finding events out."""
         if self.linter is None:
             return []
         return [
             event_finding(self.tenant, self.session, self.seq, f.to_dict())
-            for f in self.linter.feed_record(rec, where)
+            for f in self.linter.feed_applied(rec, kind, where)
         ]
 
     def feed(self, lines: List[str], base_lineno: Optional[int] = None
@@ -270,9 +262,8 @@ class DetectionSession:
     def _lint_finalize(self) -> List[Dict[str, Any]]:
         """Findings only decidable at end of stream, plus the roll-up.
 
-        The finalize-mode rules (and, after an arrival-order violation,
-        the recomputed incremental ones) first appear here; findings
-        already pushed while streaming are not repeated."""
+        The finalize-mode rules first appear here; findings already
+        pushed while streaming are not repeated."""
         if self.linter is None:
             return []
         from collections import Counter
@@ -283,11 +274,9 @@ class DetectionSession:
         )
 
         report = self.linter.report()
-        raw = self.linter.parser.raw
-        if raw is not None:
-            # inline suppressions mute the roll-up, same as `repro lint`
-            # (findings already on the wire are not retracted)
-            apply_suppressions(report, suppressions_from_obs(raw.obs))
+        # inline suppressions mute the roll-up, same as `repro lint`
+        # (findings already on the wire are not retracted)
+        apply_suppressions(report, suppressions_from_obs(self.store.obs))
         emitted = Counter(
             json.dumps(f.to_dict(), sort_keys=True)
             for f in self.linter.findings()
@@ -305,8 +294,6 @@ class DetectionSession:
             findings=len(report.findings),
             errors=report.errors,
             warnings=report.warnings,
-            dirty=self.linter.dirty,
-            dirty_reason=self.linter.dirty_reason,
         ))
         return events
 
@@ -392,13 +379,15 @@ class DetectionSession:
             sess.store, sess.pred, snap["detector"]
         )
         sess.tracker._witness = sess.detector.witness
-        lint_state = snap.get("lint")
-        if lint_state is not None and sess.linter is not None:
-            from repro.analysis.incremental import StreamingLinter
+        if sess.linter is not None:
+            lint_state = snap.get("lint")
+            if lint_state is not None:
+                from repro.analysis.incremental import StreamingLinter
 
-            sess.linter = StreamingLinter.restore(
-                lint_state, predicate=sess.pred
-            )
+                sess.linter = StreamingLinter.restore(
+                    lint_state, predicate=sess.pred
+                )
+            sess.linter.attach(sess.store)
         sess.seq = int(snap["seq"])
         sess.lines = int(snap.get("lines", 0))
         sess.failed = bool(snap.get("failed", False))

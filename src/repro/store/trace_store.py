@@ -331,10 +331,12 @@ class TraceStore:
             problems = arrow_problems(MESSAGE, src, entered, after,
                                       streamed=True)
             if problems:
-                raise axiom_error(problems[0])
+                raise axiom_error(problems[0], arrows=((src, entered),))
             # D3: the receive event is new, so only the send can clash.
             if src in self._used_events:
-                raise axiom_error(d3_problem(src, self._used_events[src], msg))
+                prev = self._used_events[src]
+                raise axiom_error(d3_problem(src, prev, msg), arrows=(
+                    (prev.src, prev.dst), (src, entered)))
         self.index._append(entered, () if src is None else (src,), after)
         self._push_state(proc, new_vars, time, src, payload, tag)
         if self._times is not None:

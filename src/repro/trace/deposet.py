@@ -344,10 +344,26 @@ class Deposet:
         return dep
 
     def without_control(self) -> "Deposet":
-        """The underlying computation, dropping any control relation."""
+        """The underlying computation, dropping any control relation.
+
+        Derived like :meth:`with_control`: it shares this deposet's
+        states, messages, names, timestamps and packed columns, and its
+        order *is* this deposet's :attr:`base_order` (the messages were
+        validated when this deposet was).
+        """
         if not self._control:
             return self
-        return Deposet(self._vars, self._messages, (), self._names, self._timestamps)
+        new = object.__new__(Deposet)
+        new._vars = self._vars
+        new._messages = self._messages
+        new._control = ()
+        new._names = self._names
+        new._timestamps = self._timestamps
+        new.__dict__["base_order"] = new.__dict__["order"] = self.base_order
+        new.__dict__["state_counts"] = self.state_counts
+        new.__dict__["_column_cache"] = self.__dict__.setdefault(
+            "_column_cache", {})
+        return new
 
     # -- misc ----------------------------------------------------------------
 

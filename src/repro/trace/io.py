@@ -445,7 +445,7 @@ def apply_stream_record(
             problems = arrow_problems(CONTROL, src, dst, store.state_counts,
                                       streamed=True)
             if problems:
-                raise axiom_error(problems[0])
+                raise axiom_error(problems[0], arrows=((src, dst),))
             store.append_control(src, dst)
         elif kind == "obs":
             store.obs = fields["obs"]
@@ -453,7 +453,8 @@ def apply_stream_record(
             store.append_state(**fields)
     except MalformedTraceError as exc:
         raise MalformedTraceError(f"{where}: {exc}", rule=exc.rule,
-                                  location=where) from exc
+                                  location=where, states=exc.states,
+                                  arrows=exc.arrows) from exc
     return kind
 
 

@@ -34,7 +34,7 @@ def run(data, predicate=None):
     # finding, not a constructor crash
     dep = _underlying_deposet(raw, Report(source="<test>", format="repro-deposet/1"))
     assert dep is not None
-    return analyze_control(raw, dep, predicate=predicate)
+    return analyze_control(dep, raw.control, predicate=predicate)
 
 
 def ids(findings):

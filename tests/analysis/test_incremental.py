@@ -1,10 +1,13 @@
-"""The streaming rule engine: prefix identity against batch ``run_rules``.
+"""The streaming linter: prefix identity against batch ``run_rules``.
 
-The contract under test is the tentpole invariant of the online linter:
-at **every** prefix of **any** record stream -- clean, corrupted,
-reordered, or epoch-reset mid-flight -- the cumulative findings of
-:class:`StreamingLinter` equal the batch pipeline run over that same
-prefix, as a multiset, with identical pass/skip bookkeeping.
+The contract under test is the invariant of the online linter: at
+**every** prefix of a record stream the strict reader accepts -- with
+FIFO inversions, timestamp regressions, records without ``time``, and
+repeated or redundant control records -- the cumulative findings of
+:class:`StreamingLinter` equal the batch pipeline run over the lenient
+parse of that prefix, as a multiset, with identical pass/skip
+bookkeeping.  A record the strict reader rejects is exactly the strict
+error, and nothing follows it.
 """
 
 import io
@@ -15,14 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.findings import RULES
+from repro.analysis.fingerprint import fingerprint
 from repro.analysis.incremental import (
-    INCREMENTAL_SANITIZER_IDS,
     LINT_STATE_FORMAT,
     RULE_MODES,
     StreamingLinter,
 )
 from repro.analysis.raw import parse_stream_lines
 from repro.analysis.runner import run_rules
+from repro.errors import MalformedTraceError, ReproError
+from repro.serve.session import DetectionSession
 from repro.trace.io import write_event_stream
 from repro.workloads import random_deposet
 
@@ -42,12 +47,10 @@ def batch_prefix(lines, source="<s>"):
     return run_rules(raw, parse_findings=parse_findings, source=source)
 
 
-def assert_prefix_identity(lines, *, reset_at=None):
+def assert_prefix_identity(lines):
     """Feed ``lines`` one by one, checking report == batch at each prefix."""
     linter = StreamingLinter(source="<s>")
     for k, line in enumerate(lines, start=1):
-        if reset_at is not None and k == reset_at:
-            linter.on_epoch_reset()
         linter.feed_line(line)
         streamed = linter.report()
         batch = batch_prefix(lines[:k])
@@ -69,7 +72,7 @@ def assert_prefix_identity(lines, *, reset_at=None):
 def test_prefix_identity_random_clean(seed):
     dep = random_deposet(n=3, events_per_proc=5, message_rate=0.4, seed=seed)
     linter = assert_prefix_identity(stream_lines(dep))
-    assert not linter.dirty
+    assert not linter.rejected
 
 
 @settings(max_examples=10, deadline=None)
@@ -105,9 +108,56 @@ def _mutate(lines, rng):
     return lines
 
 
+def strict_rejection(lines):
+    """``(index, rule, where, message)`` of the first line of ``lines``
+    the strict reader rejects -- the ``error`` event ``repro watch`` and
+    ``repro serve`` end the session with -- or ``None``."""
+    try:
+        sess = DetectionSession("t", "s", json.loads(lines[0]),
+                                "at-least-one:up", label="<s>")
+    except json.JSONDecodeError as exc:
+        return 0, "T001", "<s>:1", f"<s>:1: not valid JSON ({exc})"
+    except MalformedTraceError as exc:
+        return 0, exc.rule, exc.location, str(exc)
+    for k, line in enumerate(lines[1:], start=1):
+        for ev in sess.feed_line(line, lineno=k + 1):
+            if ev["e"] == "error":
+                return k, ev.get("rule"), ev["where"], ev["message"]
+    return None
+
+
+def assert_strict_rejection(lines):
+    """Before the rejected line, prefix identity; at it, exactly the
+    strict error as one finding; after it, nothing."""
+    k, rule, where, message = strict_rejection(lines)
+    if k:
+        assert_prefix_identity(lines[:k])
+    linter = StreamingLinter(source="<s>")
+    for line in lines[:k]:
+        linter.feed_line(line)
+    before = list(linter.findings())
+    got = linter.feed_line(lines[k])
+    assert [(f.rule_id, f.location, f"{where}: {f.message}")
+            for f in got] == [(rule or "C101", where, message)]
+    if rule is not None:
+        # the strict error carries lint's witness: same fingerprint as
+        # the batch finding for that record
+        batch = batch_prefix(lines[:k + 1]).findings
+        assert fingerprint(got[0]) in {fingerprint(f) for f in batch}
+    for line in lines[k + 1:]:
+        assert linter.feed_line(line) == []
+    report = linter.report()
+    assert report.findings == before + got
+    assert report.passes == (["parse", "sanitizer"] if k else ["parse"])
+    return got[0]
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_prefix_identity_random_corrupted(seed):
+    """A corrupted stream is linted like the strict reader reads it:
+    prefix identity up to the first rejected record, the strict error
+    there, nothing after."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -115,16 +165,67 @@ def test_prefix_identity_random_corrupted(seed):
     lines = stream_lines(dep)
     for _ in range(int(rng.integers(1, 3))):
         lines = _mutate(lines, rng)
-    assert_prefix_identity(lines)
+    if strict_rejection(lines) is None:
+        assert_prefix_identity(lines)
+    else:
+        assert_strict_rejection(lines)
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000), cut=st.integers(2, 10))
-def test_prefix_identity_across_epoch_reset(seed, cut):
-    dep = random_deposet(n=3, events_per_proc=4, message_rate=0.4, seed=seed)
-    lines = stream_lines(dep)
-    linter = assert_prefix_identity(lines, reset_at=min(cut, len(lines)))
-    assert linter.dirty and linter.dirty_reason == "epoch reset"
+# -- random accepted streams with every streamable finding -----------------
+
+
+def _accepted_stream(seed, times, drop_time, repeat_ctl):
+    """A stream the strict reader accepts: random control arrows (one
+    redundant with a message), optional times with regressions (and one
+    event record without ``time``), repeated ctl records."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    dep = random_deposet(n=3, events_per_proc=5, message_rate=0.6, seed=seed)
+    arrows = []
+    if dep.messages:
+        m = dep.messages[int(rng.integers(len(dep.messages)))]
+        arrows.append((tuple(m.src), tuple(m.dst)))
+    for _ in range(3):
+        sp, dp = (int(x) for x in rng.integers(0, dep.n, 2))
+        si = int(rng.integers(0, dep.state_counts[sp] - 1))
+        di = int(rng.integers(1, dep.state_counts[dp]))
+        try:
+            stream_lines(dep.with_control(arrows + [((sp, si), (dp, di))]))
+        except ReproError:
+            continue
+        arrows.append(((sp, si), (dp, di)))
+    lines = stream_lines(dep.with_control(arrows) if arrows else dep)
+    if times:
+        header = json.loads(lines[0])
+        header["start_times"] = [float(rng.integers(0, 3))] * dep.n
+        body, clock = [], 0.0
+        for line in lines[1:]:
+            rec = json.loads(line)
+            if rec["t"] in ("ev", "recv"):
+                clock += float(rng.integers(-2, 4))
+                if drop_time and rng.random() < 0.15:
+                    drop_time = False
+                else:
+                    rec["time"] = clock
+            body.append(json.dumps(rec))
+        lines = [json.dumps(header)] + body
+    ctl = [line for line in lines if '"ctl"' in line]
+    for line in ctl[:repeat_ctl]:
+        lines.insert(int(rng.integers(lines.index(line) + 1,
+                                      len(lines) + 1)), line)
+    assert strict_rejection(lines) is None
+    return lines
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), times=st.booleans(),
+       drop_time=st.booleans(), repeat_ctl=st.integers(0, 2))
+def test_prefix_identity_accepted_streams(seed, times, drop_time,
+                                         repeat_ctl):
+    lines = _accepted_stream(seed, times, drop_time, repeat_ctl)
+    linter = assert_prefix_identity(lines)
+    assert not linter.rejected
 
 
 # -- hand-crafted corruption: the dirty path --------------------------------
@@ -136,7 +237,7 @@ HEADER = json.dumps({
 })
 
 
-def test_t009_marks_dirty_and_identity_holds():
+def test_t009_record_is_the_strict_error():
     lines = [
         HEADER,
         json.dumps({"t": "ev", "p": 0, "u": {"up": False}}),
@@ -144,9 +245,7 @@ def test_t009_marks_dirty_and_identity_holds():
         json.dumps({"t": "recv", "p": 1, "src": [0, 1], "u": {}}),
         json.dumps({"t": "ev", "p": 0, "u": {"up": True}}),
     ]
-    linter = assert_prefix_identity(lines)
-    assert linter.dirty
-    assert "T009" in linter.dirty_reason
+    assert assert_strict_rejection(lines).rule_id == "T009"
 
 
 def test_clean_stream_stays_clean_and_not_dirty():
@@ -157,10 +256,20 @@ def test_clean_stream_stays_clean_and_not_dirty():
         json.dumps({"t": "recv", "p": 1, "src": [0, 0], "u": {}}),
     ]
     linter = assert_prefix_identity(lines)
-    assert not linter.dirty
-    assert linter.report().findings == [
-        f for f in linter.report().findings if f.rule_id not in ("T009",)
+    assert not linter.rejected
+    assert linter.findings() == []
+
+
+def test_interfering_ctl_record_is_c101():
+    lines = [
+        HEADER,
+        json.dumps({"t": "ev", "p": 0, "u": {}}),
+        json.dumps({"t": "recv", "p": 1, "src": [0, 0], "u": {}}),
+        json.dumps({"t": "ev", "p": 1, "u": {}}),
+        # the message orders (0,0) before (1,1); this waits the other way
+        json.dumps({"t": "ctl", "src": [1, 1], "dst": [0, 1]}),
     ]
+    assert assert_strict_rejection(lines).rule_id == "C101"
 
 
 def test_t007_crossed_delivery_streams_at_arrival():
@@ -186,12 +295,7 @@ def test_t006_same_process_arrow_streams():
         json.dumps({"t": "ev", "p": 0, "u": {}}),
         json.dumps({"t": "recv", "p": 0, "src": [0, 0], "u": {}}),
     ]
-    linter = StreamingLinter()
-    emitted = []
-    for line in lines:
-        emitted.extend(linter.feed_line(line))
-    assert "T006" in [f.rule_id for f in emitted]
-    assert_prefix_identity(lines)
+    assert assert_strict_rejection(lines).rule_id == "T006"
 
 
 def test_t004_duplicate_delivery_streams():
@@ -202,17 +306,14 @@ def test_t004_duplicate_delivery_streams():
         json.dumps({"t": "recv", "p": 1, "src": [0, 0], "u": {}}),
         json.dumps({"t": "recv", "p": 1, "src": [0, 0], "u": {}}),
     ]
-    linter = StreamingLinter()
-    emitted = []
-    for line in lines:
-        emitted.extend(linter.feed_line(line))
-    assert "T004" in [f.rule_id for f in emitted]
-    assert_prefix_identity(lines)
+    assert assert_strict_rejection(lines).rule_id == "T004"
 
 
 def test_garbage_and_bad_header_identity():
-    assert_prefix_identity(["not json at all", HEADER])
-    assert_prefix_identity([json.dumps({"format": "nope"}), HEADER])
+    assert assert_strict_rejection(["not json at all", HEADER]).rule_id \
+        == "T001"
+    assert assert_strict_rejection(
+        [json.dumps({"format": "nope"}), HEADER]).rule_id == "T001"
     assert_prefix_identity([])  # degenerate: no lines at all
 
 
@@ -226,12 +327,17 @@ def test_rule_modes_cover_the_catalogue_exactly():
         assert mode.reason  # every mode claim carries its argument
 
 
-def test_incremental_sanitizer_ids_are_marked_incremental():
-    for rid in INCREMENTAL_SANITIZER_IDS:
-        assert RULE_MODES[rid].mode == "incremental"
-    # and nothing outside the engine + parse mirror claims incremental
-    incremental = {r for r, m in RULE_MODES.items() if m.mode == "incremental"}
-    assert incremental == INCREMENTAL_SANITIZER_IDS | {"T001", "T009"}
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_rule_modes_match_what_streams(seed):
+    """Streamed findings are incremental-mode rules; the ones only
+    ``report()`` adds are finalize-mode rules."""
+    linter = StreamingLinter(predicate=None)
+    for line in _accepted_stream(seed, True, False, 1):
+        for f in linter.feed_line(line):
+            assert RULE_MODES[f.rule_id].mode == "incremental", f.rule_id
+    for f in linter.report().findings[len(linter.findings()):]:
+        assert RULE_MODES[f.rule_id].mode == "finalize", f.rule_id
 
 
 # -- work accounting --------------------------------------------------------

@@ -9,6 +9,7 @@ resumed session replays the same findings a crash-free one would.
 """
 
 import json
+from pathlib import Path
 
 from repro.serve.protocol import FINDINGS_FORMAT
 from repro.serve.session import DetectionSession
@@ -93,7 +94,7 @@ def test_finalize_emits_summary_after_findings_before_final():
     emitted = [e for e in events if e["e"] == "finding"]
     assert summary["findings"] == len(emitted)
     assert summary["errors"] + summary["warnings"] <= summary["findings"]
-    assert summary["dirty"] in (False, True)
+    assert summary["dirty"] is False  # kept for the schema only
 
 
 def test_lint_summary_counts_match_linter_report():
@@ -181,3 +182,38 @@ def test_worker_opts_plumb_lint_through():
     sessions.clear()
     _open_session(sessions, "t/s", "t", "s", header, PREDICATE, {})
     assert sessions["t/s"].linter is None
+
+
+def test_restore_from_a_v1_lint_checkpoint():
+    """A session checkpointed with the ``repro-lint-state/1`` linter (a
+    lenient mirror of the whole trace) resumes: the suffix produces the
+    events the uninterrupted run of that version produced."""
+    fixture = Path(__file__).parent.parent / "fixtures" / \
+        "lint_state_v1_session.json"
+    case = json.loads(fixture.read_text())
+    assert case["snapshot"]["lint"]["format"] == "repro-lint-state/1"
+    resumed = DetectionSession.restore(
+        "t", "s", case["header"], PREDICATE, case["snapshot"], lint=True,
+    )
+    cut = case["cut"]
+    events = resumed.feed(case["lines"][cut:], base_lineno=2 + cut)
+    events += resumed.finalize()
+    assert json.dumps(events, sort_keys=True) == \
+        json.dumps(case["events"], sort_keys=True)
+    assert resumed.snapshot()["lint"]["format"] == "repro-lint-state/2"
+
+
+def _lint_snapshot_bytes(records):
+    header = {"format": "repro-events/1", "n": 2,
+              "start": [{"up": True}, {"up": True}], "start_times": [0, 0]}
+    sess = DetectionSession("t", "s", header, PREDICATE, lint=True)
+    sess.open_events()
+    sess.feed([json.dumps({"t": "ev", "p": k % 2, "u": {"up": k % 3 > 0},
+                           "time": k}) for k in range(records)])
+    return len(json.dumps(sess.snapshot()["lint"]))
+
+
+def test_lint_snapshot_keeps_no_per_state_data():
+    """The linter checkpoints its findings and arrow locations; the
+    states live in the session's store checkpoint only."""
+    assert _lint_snapshot_bytes(100) == _lint_snapshot_bytes(1000)

@@ -1,6 +1,8 @@
 """Unit tests for the Deposet model and its D1-D3 validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.causality import StateRef
 from repro.errors import InterferenceError, MalformedTraceError
@@ -133,6 +135,33 @@ def test_with_control_extends_order():
     assert not ctl.base_order.happened_before((1, 1), (0, 3))
     # underlying computation unchanged
     assert ctl.without_control() == dep
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), controlled=st.booleans())
+def test_without_control_is_derived_not_rebuilt(seed, controlled):
+    """``without_control`` equals the constructor's underlying deposet and
+    shares this deposet's base order, states and columns."""
+    from repro.workloads import random_deposet
+
+    dep = random_deposet(n=3, events_per_proc=6, message_rate=0.5, seed=seed)
+    if controlled and dep.messages:
+        m = dep.messages[0]
+        dep = dep.with_control([(m.src, m.dst), ((0, 0), (0, 1))])
+    under = dep.without_control()
+    rebuilt = Deposet([dep.proc_states(i) for i in range(dep.n)],
+                      dep.messages, (), dep.proc_names, dep.timestamps)
+    assert under == rebuilt and not under.control_arrows
+    assert under.order is dep.base_order and under.base_order is dep.base_order
+    assert under.state_counts == rebuilt.state_counts
+    assert under.proc_names == rebuilt.proc_names
+    assert under.events == rebuilt.events
+    for i in range(dep.n):
+        assert under.proc_states(i) is dep.proc_states(i)
+        assert [under.order.clock((i, a)).tolist()
+                for a in range(dep.state_counts[i])] == \
+            [rebuilt.order.clock((i, a)).tolist()
+             for a in range(dep.state_counts[i])]
 
 
 def test_with_control_interference_raises():
